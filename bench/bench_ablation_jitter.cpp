@@ -26,7 +26,8 @@ int main() {
       return 1;
     }
     const dataset::ResultRepository repo(std::move(population).take());
-    const auto idle = analysis::analyze_idle_power(repo);
+    const auto idle =
+        analysis::analyze_idle_power(analysis::AnalysisContext(repo));
     const auto eps = dataset::ResultRepository::ep_values(repo.all());
     const auto shares = analysis::global_spot_shares(repo);
     table.row({format_fixed(sd, 3), format_fixed(stats::mean(eps), 4),

@@ -34,7 +34,8 @@ int main() {
     const dataset::ResultRepository repo(std::move(member));
     const auto eps = dataset::ResultRepository::ep_values(repo.all());
     mean_eps.push_back(stats::mean(eps));
-    const auto idle = analysis::analyze_idle_power(repo);
+    const auto idle =
+        analysis::analyze_idle_power(analysis::AnalysisContext(repo));
     corrs.push_back(idle.ep_idle_correlation);
     alphas.push_back(idle.eq2.alpha);
     full_load_shares.push_back(

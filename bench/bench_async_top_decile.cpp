@@ -11,7 +11,7 @@ int main() {
   bench::print_header("§IV.B — asynchronisation of EP and EE",
                       "top-decile composition by hardware year");
 
-  const auto result = analysis::async_top_decile(bench::population());
+  const auto result = analysis::async_top_decile(bench::context());
   const auto share = [](const std::map<int, double>& shares, int year) {
     const auto it = shares.find(year);
     return it == shares.end() ? 0.0 : it->second;

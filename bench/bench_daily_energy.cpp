@@ -16,7 +16,7 @@ int main() {
       fleet.push_back(r);
     }
   }
-  const auto trace = cluster::DemandTrace::diurnal();
+  const auto trace = cluster::make_trace("diurnal").value();
   std::cout << "demand trace (24 x 1h): trough "
             << format_percent(*std::min_element(trace.demand.begin(),
                                                 trace.demand.end()), 0)

@@ -27,7 +27,7 @@ int main() {
   std::cout << "fleet: " << fleet.size() << " servers, mean EP "
             << format_fixed(mean_ep, 2) << "\n\n";
 
-  const auto trace = cluster::DemandTrace::diurnal(0.2, 0.4);
+  const auto trace = cluster::make_trace({"diurnal", 0.2, 0.4}).value();
   const auto always_on = cluster::compare_policies_over_day(cluster::Fleet::from_records(fleet), trace);
   if (!always_on.ok()) return 1;
   const auto scaled = cluster::autoscale_over_day(cluster::Fleet::from_records(fleet), trace);

@@ -11,7 +11,7 @@ int main() {
   bench::print_header("Eq.2 — idle power vs energy proportionality",
                       "correlations and the exponential regression (§III.D)");
 
-  const auto result = analysis::analyze_idle_power(bench::population());
+  const auto result = analysis::analyze_idle_power(bench::context());
 
   TextTable table;
   table.columns({"quantity", "measured", "paper"});

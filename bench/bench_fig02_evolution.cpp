@@ -11,7 +11,7 @@ int main() {
   bench::print_header("Fig.2 — EP and EE evolution",
                       "all 477 servers by hardware availability year");
 
-  const auto rows = analysis::year_trends(bench::population());
+  const auto rows = analysis::year_trends(bench::context());
   TextTable table;
   table.columns({"year", "n", "EP range", "EP avg", "EE range", "EE avg"});
   for (const auto& row : rows) {

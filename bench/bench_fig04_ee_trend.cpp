@@ -9,7 +9,7 @@ int main() {
   bench::print_header("Fig.4 — EE statistics trend",
                       "overall score and peak EE per hardware year");
 
-  const auto rows = analysis::year_trends(bench::population());
+  const auto rows = analysis::year_trends(bench::context());
   TextTable table;
   table.columns({"year", "max EE", "avg EE", "med EE", "min EE",
                  "max peak EE", "avg peak EE", "med peak EE", "min peak EE"});

@@ -21,7 +21,7 @@ int main() {
 
   TextTable table;
   table.columns({"codename", "n", "mean EP", "paper"});
-  for (const auto& row : analysis::codename_ep_ranking(bench::population())) {
+  for (const auto& row : analysis::codename_ep_ranking(bench::context())) {
     const auto it = paper.find(row.codename);
     table.row({row.codename, std::to_string(row.count),
                format_fixed(row.mean_ep, 2),

@@ -24,7 +24,7 @@ int main() {
   TextTable decomp;
   decomp.columns({"year", "actual mean EP", "mix-predicted EP"});
   for (const auto& row :
-       analysis::composition_decomposition(bench::population(), 2012, 2016)) {
+       analysis::composition_decomposition(bench::context(), 2012, 2016)) {
     decomp.row({std::to_string(row.year),
                 format_fixed(row.actual_mean_ep, 3),
                 format_fixed(row.composition_predicted_ep, 3)});

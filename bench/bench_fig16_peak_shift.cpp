@@ -43,12 +43,12 @@ int main() {
             << "\nshare @100%, 2004-2012: "
             << bench::vs_paper(
                    format_percent(analysis::share_peaking_at_full_load(
-                       bench::population(), 2004, 2012)),
+                       bench::context(), 2004, 2012)),
                    "75.71%")
             << "\nshare @100%, 2013-2016: "
             << bench::vs_paper(
                    format_percent(analysis::share_peaking_at_full_load(
-                       bench::population(), 2013, 2016)),
+                       bench::context(), 2013, 2016)),
                    "23.21%")
             << "\n";
   return 0;

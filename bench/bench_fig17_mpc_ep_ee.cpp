@@ -13,7 +13,7 @@ int main() {
   TextTable table;
   table.columns({"GB/core", "n", "avg EP", "avg EE"});
   for (const auto& row :
-       analysis::mpc_distribution(bench::population(), 11)) {
+       analysis::mpc_distribution(bench::context(), 11)) {
     table.row({format_fixed(row.gb_per_core, 2), std::to_string(row.count),
                format_fixed(row.mean_ep, 3), format_fixed(row.mean_score, 0)});
   }
@@ -21,11 +21,11 @@ int main() {
 
   std::cout << "\nbest GB/core for EP: "
             << bench::vs_paper(
-                   format_fixed(analysis::best_mpc_for_ep(bench::population()), 2),
+                   format_fixed(analysis::best_mpc_for_ep(bench::context()), 2),
                    "1.5")
             << "\nbest GB/core for EE: "
             << bench::vs_paper(
-                   format_fixed(analysis::best_mpc_for_ee(bench::population()), 2),
+                   format_fixed(analysis::best_mpc_for_ee(bench::context()), 2),
                    "1.78")
             << "\n";
   return 0;

@@ -12,7 +12,7 @@ int main() {
   bench::print_header("§IV.A — peak-EE shift forecast",
                       "linear trend of the mean peak-EE utilisation, 2010-");
 
-  const auto forecast = analysis::forecast_peak_shift(bench::population(),
+  const auto forecast = analysis::forecast_peak_shift(bench::context(),
                                                       2010, 2026);
   TextTable observed;
   observed.columns({"year", "mean peak-EE utilisation"});
@@ -41,8 +41,8 @@ int main() {
             << "\n";
 
   std::cout << section_banner("Idle-fraction projection -> Eq.2 EP");
-  const auto idle_forecast = analysis::forecast_idle_fraction(bench::population());
-  const auto eq2 = analysis::analyze_idle_power(bench::population()).eq2;
+  const auto idle_forecast = analysis::forecast_idle_fraction(bench::context());
+  const auto eq2 = analysis::analyze_idle_power(bench::context()).eq2;
   TextTable idle_table;
   idle_table.columns({"year", "projected idle%", "Eq.2-implied EP"});
   for (const int year : {2018, 2020, 2022}) {

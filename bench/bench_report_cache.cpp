@@ -1,47 +1,22 @@
-// Cold vs context-backed report builds. The cold path calls the repo-based
-// analysis functions directly (every iteration re-derives the per-record
-// metrics and regroups the population); the warm path runs the pass registry
-// over one shared AnalysisContext, so all of that work happens exactly once —
-// the printed CacheStats pin the exactly-once guarantee, and the renders of
-// both paths are byte-compared (exit 1 on any mismatch).
+// Cold vs context-backed report builds. The cold path builds every report
+// over a fresh AnalysisContext (every iteration re-derives the per-record
+// metrics, the columnar snapshot and the group indexes); the warm path runs
+// the pass registry over one shared AnalysisContext, so all of that work
+// happens exactly once — the printed CacheStats pin the exactly-once
+// guarantee, and the renders of both paths are byte-compared (exit 1 on any
+// mismatch).
 #include "common.h"
 
 #include <chrono>
 
 #include "analysis/context.h"
 #include "analysis/pass.h"
-#include "analysis/peak_shift.h"
 #include "analysis/report.h"
 #include "analysis/report_json.h"
 
 namespace {
 
 using namespace epserve;
-
-/// The pre-registry monolithic builder: every analysis straight off the
-/// repository, nothing shared, nothing cached.
-analysis::FullReport build_cold(const dataset::ResultRepository& repo) {
-  analysis::FullReport report;
-  report.population = repo.size();
-  report.trends_by_hw_year =
-      analysis::year_trends(repo, dataset::YearKey::kHardwareAvailability);
-  report.trends_by_pub_year =
-      analysis::year_trends(repo, dataset::YearKey::kPublished);
-  report.ep_jump_2008_2009 =
-      analysis::ep_jump(report.trends_by_hw_year, 2008, 2009).value_or(0.0);
-  report.ep_jump_2011_2012 =
-      analysis::ep_jump(report.trends_by_hw_year, 2011, 2012).value_or(0.0);
-  report.codename_ranking = analysis::codename_ep_ranking(repo);
-  report.idle = analysis::analyze_idle_power(repo);
-  report.share_full_load_2004_2012 =
-      analysis::share_peaking_at_full_load(repo, 2004, 2012);
-  report.share_full_load_2013_2016 =
-      analysis::share_peaking_at_full_load(repo, 2013, 2016);
-  report.async = analysis::async_top_decile(repo);
-  report.two_chip = analysis::two_chip_vs_all(repo);
-  report.rekeying = analysis::rekeying_analysis(repo);
-  return report;
-}
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -56,10 +31,12 @@ int main() {
   const auto& repo = bench::population();
   constexpr int kIterations = 20;
 
-  // Cold: the monolithic builder, every iteration from scratch.
+  // Cold: a fresh context per report, every iteration from scratch.
   analysis::FullReport cold_report;
   const auto cold_start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIterations; ++i) cold_report = build_cold(repo);
+  for (int i = 0; i < kIterations; ++i) {
+    cold_report = analysis::build_full_report(repo, 1);
+  }
   const double cold_s = seconds_since(cold_start);
 
   // Warm: the pass registry over one shared memoized context.
@@ -74,7 +51,8 @@ int main() {
   const auto stats = ctx.cache_stats();
   TextTable table;
   table.columns({"path", "builds of derived metrics", "total s", "ms/report"});
-  table.row({"cold (no context)", std::to_string(kIterations) + " (one/iter)",
+  table.row({"cold (fresh context)",
+             std::to_string(kIterations) + " (one/iter)",
              format_fixed(cold_s, 3),
              format_fixed(1000.0 * cold_s / kIterations, 2)});
   table.row({"shared context", std::to_string(stats.derived_builds),
@@ -83,7 +61,6 @@ int main() {
   std::cout << table.render();
   std::cout << "cache stats over " << kIterations
             << " warm reports: derived=" << stats.derived_builds
-            << " groupings=" << stats.grouping_builds
             << " deciles=" << stats.decile_builds << " (each exactly once)\n"
             << "speedup: " << format_fixed(cold_s / warm_s, 2) << "x\n";
   // Machine-readable summary, harvested by bench/run_benches.sh.

@@ -11,7 +11,7 @@ int main() {
   bench::print_header("§III.B what-if — frozen microarchitecture mix",
                       "actual vs counterfactual EP trend, 2012-2016");
 
-  const auto result = analysis::frozen_mix_counterfactual(bench::population());
+  const auto result = analysis::frozen_mix_counterfactual(bench::context());
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.error().message.c_str());
     return 1;

@@ -5,6 +5,7 @@
 #include <iostream>
 #include <string>
 
+#include "analysis/context.h"
 #include "core/epserve.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -23,6 +24,13 @@ inline const dataset::ResultRepository& population() {
     return dataset::ResultRepository(std::move(result).take());
   }();
   return repo;
+}
+
+/// The shared analysis context over population(): every figure/table bench
+/// reads its analyses through it.
+inline const analysis::AnalysisContext& context() {
+  static const analysis::AnalysisContext ctx(population());
+  return ctx;
 }
 
 /// Standard harness header: what is being reproduced and from where.

@@ -3,16 +3,12 @@
 #include <set>
 
 #include "analysis/context.h"
-#include "metrics/efficiency.h"
-#include "metrics/proportionality.h"
 
 namespace epserve::analysis {
 
-namespace {
-
-AsyncResult analyze_deciles(const dataset::RecordView& top_ep,
-                            const dataset::RecordView& top_ee,
-                            const dataset::RecordView& all) {
+AsyncResult async_top_decile(const AnalysisContext& ctx) {
+  const auto& top_ep = ctx.top_ep_decile();
+  const auto& top_ee = ctx.top_score_decile();
   AsyncResult out;
   out.decile_size = top_ep.size();
 
@@ -26,7 +22,7 @@ AsyncResult analyze_deciles(const dataset::RecordView& top_ep,
   };
   out.top_ep_year_shares = share_by_year(top_ep);
   out.top_ee_year_shares = share_by_year(top_ee);
-  out.population_year_shares = share_by_year(all);
+  out.population_year_shares = share_by_year(ctx.repo().all());
 
   std::set<int> ee_ids;
   for (const auto* r : top_ee) ee_ids.insert(r->id);
@@ -38,27 +34,6 @@ AsyncResult analyze_deciles(const dataset::RecordView& top_ep,
                                : static_cast<double>(both) /
                                      static_cast<double>(top_ep.size());
   return out;
-}
-
-}  // namespace
-
-AsyncResult async_top_decile_uncached(const dataset::ResultRepository& repo) {
-  const auto top_ep = repo.top_decile([](const dataset::ServerRecord& r) {
-    return metrics::energy_proportionality(r.curve);
-  });
-  const auto top_ee = repo.top_decile([](const dataset::ServerRecord& r) {
-    return metrics::overall_score(r.curve);
-  });
-  return analyze_deciles(top_ep, top_ee, repo.all());
-}
-
-AsyncResult async_top_decile(const dataset::ResultRepository& repo) {
-  return async_top_decile_uncached(repo);
-}
-
-AsyncResult async_top_decile(const AnalysisContext& ctx) {
-  return analyze_deciles(ctx.top_ep_decile(), ctx.top_score_decile(),
-                         ctx.repo().all());
 }
 
 }  // namespace epserve::analysis

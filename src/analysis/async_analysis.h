@@ -26,13 +26,7 @@ struct AsyncResult {
   std::size_t decile_size = 0;
 };
 
-/// AnalysisContext is the entry point: the ctx overload reuses the cached
-/// top-decile sets over memoized per-record values.
-/// `async_top_decile_uncached` re-derives EP/score per comparison (the cold
-/// path); the plain repository overload delegates to it. Byte-identical
-/// results.
+/// Reads the context's memoized top-decile EP and overall-score sets.
 AsyncResult async_top_decile(const AnalysisContext& ctx);
-AsyncResult async_top_decile_uncached(const dataset::ResultRepository& repo);
-AsyncResult async_top_decile(const dataset::ResultRepository& repo);
 
 }  // namespace epserve::analysis

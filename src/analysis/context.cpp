@@ -90,95 +90,37 @@ std::vector<double> AnalysisContext::gather(
   return out;
 }
 
-const std::map<int, dataset::RecordView>& AnalysisContext::by_year(
-    dataset::YearKey key) const {
-  const bool hw = key == dataset::YearKey::kHardwareAvailability;
-  auto& slot = hw ? by_hw_year_ : by_pub_year_;
-  return memoize(slot, hw ? "ctx.by_hw_year" : "ctx.by_pub_year",
-                 grouping_builds_, [&] { return repo_.by_year(key); });
+namespace {
+
+/// One field of each record's derived bundle, in record order.
+template <typename Field>
+std::vector<double> field_of(
+    const std::vector<metrics::DerivedCurveMetrics>& bundle, Field field) {
+  std::vector<double> out;
+  out.reserve(bundle.size());
+  for (const auto& d : bundle) out.push_back(d.*field);
+  return out;
 }
 
-const std::map<power::UarchFamily, dataset::RecordView>&
-AnalysisContext::by_family() const {
-  return memoize(by_family_, "ctx.by_family", grouping_builds_,
-                 [&] { return repo_.by_family(); });
-}
-
-const std::map<std::string, dataset::RecordView>& AnalysisContext::by_codename()
-    const {
-  return memoize(by_codename_, "ctx.by_codename", grouping_builds_,
-                 [&] { return repo_.by_codename(); });
-}
-
-const std::map<int, dataset::RecordView>& AnalysisContext::by_nodes() const {
-  return memoize(by_nodes_, "ctx.by_nodes", grouping_builds_,
-                 [&] { return repo_.by_nodes(); });
-}
-
-const std::map<int, dataset::RecordView>& AnalysisContext::single_node_by_chips()
-    const {
-  return memoize(by_chips_, "ctx.single_node_by_chips", grouping_builds_,
-                 [&] { return repo_.single_node_by_chips(); });
-}
+}  // namespace
 
 const dataset::RecordView& AnalysisContext::top_ep_decile() const {
   return memoize(top_ep_, "ctx.top_ep_decile", decile_builds_, [&] {
-    return repo_.top_decile_by(ep_values(repo_.all()));
+    return repo_.top_decile_by(
+        field_of(derived(), &metrics::DerivedCurveMetrics::ep));
   });
 }
 
 const dataset::RecordView& AnalysisContext::top_score_decile() const {
   return memoize(top_score_, "ctx.top_score_decile", decile_builds_, [&] {
-    return repo_.top_decile_by(score_values(repo_.all()));
+    return repo_.top_decile_by(
+        field_of(derived(), &metrics::DerivedCurveMetrics::overall_score));
   });
-}
-
-std::vector<double> AnalysisContext::ep_values(
-    const dataset::RecordView& view) const {
-  const auto& bundle = derived();
-  std::vector<double> out;
-  out.reserve(view.size());
-  for (const auto* r : view) out.push_back(bundle[repo_.index_of(*r)].ep);
-  return out;
-}
-
-std::vector<double> AnalysisContext::score_values(
-    const dataset::RecordView& view) const {
-  const auto& bundle = derived();
-  std::vector<double> out;
-  out.reserve(view.size());
-  for (const auto* r : view) {
-    out.push_back(bundle[repo_.index_of(*r)].overall_score);
-  }
-  return out;
-}
-
-std::vector<double> AnalysisContext::idle_values(
-    const dataset::RecordView& view) const {
-  const auto& bundle = derived();
-  std::vector<double> out;
-  out.reserve(view.size());
-  for (const auto* r : view) {
-    out.push_back(bundle[repo_.index_of(*r)].idle_fraction);
-  }
-  return out;
-}
-
-std::vector<double> AnalysisContext::peak_ee_values(
-    const dataset::RecordView& view) const {
-  const auto& bundle = derived();
-  std::vector<double> out;
-  out.reserve(view.size());
-  for (const auto* r : view) {
-    out.push_back(bundle[repo_.index_of(*r)].peak_ee.value);
-  }
-  return out;
 }
 
 AnalysisContext::CacheStats AnalysisContext::cache_stats() const {
   CacheStats stats;
   stats.derived_builds = derived_builds_.load(std::memory_order_relaxed);
-  stats.grouping_builds = grouping_builds_.load(std::memory_order_relaxed);
   stats.decile_builds = decile_builds_.load(std::memory_order_relaxed);
   stats.columnar_builds = columnar_builds_.load(std::memory_order_relaxed);
   stats.group_index_builds =

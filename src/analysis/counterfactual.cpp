@@ -1,48 +1,55 @@
 #include "analysis/counterfactual.h"
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
 
-#include "metrics/proportionality.h"
-#include "stats/descriptive.h"
+#include "analysis/context.h"
+#include "analysis/uarch_analysis.h"
 
 namespace epserve::analysis {
 
 Result<CounterfactualResult> frozen_mix_counterfactual(
-    const dataset::ResultRepository& repo,
-    const std::string& reference_codename, int from_year, int to_year) {
+    const AnalysisContext& ctx, const std::string& reference_codename,
+    int from_year, int to_year) {
   if (from_year > to_year) {
     return Error::invalid_argument("year range inverted");
   }
-  // Global per-codename mean EP.
-  std::map<std::string, double> codename_mean;
-  for (const auto& [name, view] : repo.by_codename()) {
-    codename_mean[name] =
-        stats::mean(dataset::ResultRepository::ep_values(view));
-  }
-  const auto reference = codename_mean.find(reference_codename);
-  if (reference == codename_mean.end()) {
+  const auto& snap = ctx.columnar();
+  const auto& codenames = snap.codenames();
+  const auto reference =
+      std::find(codenames.begin(), codenames.end(), reference_codename);
+  if (reference == codenames.end()) {
     return Error::not_found("reference codename not in population: " +
                             reference_codename);
   }
+  // Global per-codename mean EP, indexed by interned codename id.
+  const auto codename_mean = codename_mean_eps(ctx);
+  const double reference_mean =
+      codename_mean[static_cast<std::size_t>(reference - codenames.begin())];
 
   CounterfactualResult result;
   result.reference_codename = reference_codename;
-  for (const auto& [year, view] : repo.by_year()) {
+  const auto& by_year =
+      ctx.groups_by_year(dataset::YearKey::kHardwareAvailability);
+  for (std::size_t g = 0; g < by_year.group_count(); ++g) {
+    const int year = by_year.key(g);
     if (year < from_year || year > to_year) continue;
+    const auto members = by_year.members(g);
     CounterfactualRow row;
     row.year = year;
-    row.count = view.size();
+    row.count = members.size();
     double actual = 0.0;
     double counterfactual = 0.0;
-    for (const auto* r : view) {
-      const double ep = metrics::energy_proportionality(r->curve);
+    for (const std::uint32_t i : members) {
+      const double ep = snap.ep()[i];
       actual += ep;
-      const double residual = ep - codename_mean.at(r->cpu_codename);
-      counterfactual += reference->second + residual;
+      const double residual =
+          ep - codename_mean[static_cast<std::size_t>(snap.codename_id()[i])];
+      counterfactual += reference_mean + residual;
     }
-    row.actual_mean_ep = actual / static_cast<double>(view.size());
+    row.actual_mean_ep = actual / static_cast<double>(members.size());
     row.counterfactual_mean_ep =
-        counterfactual / static_cast<double>(view.size());
+        counterfactual / static_cast<double>(members.size());
     result.rows.push_back(row);
   }
   if (result.rows.empty()) {

@@ -9,10 +9,11 @@
 #include <string>
 #include <vector>
 
-#include "dataset/repository.h"
 #include "util/result.h"
 
 namespace epserve::analysis {
+
+class AnalysisContext;
 
 struct CounterfactualRow {
   int year = 0;
@@ -38,7 +39,7 @@ struct CounterfactualResult {
 /// its residual vs its own codename's mean, re-based on the reference mean.
 /// Fails when the reference codename is absent from the population.
 epserve::Result<CounterfactualResult> frozen_mix_counterfactual(
-    const dataset::ResultRepository& repo,
+    const AnalysisContext& ctx,
     const std::string& reference_codename = "Sandy Bridge EP",
     int from_year = 2012, int to_year = 2016);
 

@@ -1,24 +1,40 @@
 #include "analysis/forecast.h"
 
 #include <algorithm>
+#include <span>
 
+#include "analysis/context.h"
 #include "metrics/efficiency.h"
 #include "stats/descriptive.h"
 #include "util/contracts.h"
 
 namespace epserve::analysis {
 
-PeakShiftForecast forecast_peak_shift(const dataset::ResultRepository& repo,
+namespace {
+
+/// Mean of `column` per hardware year, for years from `from_year` on.
+std::vector<ForecastPoint> yearly_means(const AnalysisContext& ctx,
+                                        std::span<const double> column,
+                                        int from_year) {
+  const auto& by_year =
+      ctx.groups_by_year(dataset::YearKey::kHardwareAvailability);
+  std::vector<ForecastPoint> points;
+  for (std::size_t g = 0; g < by_year.group_count(); ++g) {
+    if (by_year.key(g) < from_year) continue;
+    points.push_back(
+        {by_year.key(g),
+         stats::mean(AnalysisContext::gather(column, by_year.members(g)))});
+  }
+  return points;
+}
+
+}  // namespace
+
+PeakShiftForecast forecast_peak_shift(const AnalysisContext& ctx,
                                       int fit_from_year, int project_until) {
   PeakShiftForecast out;
-  for (const auto& [year, view] : repo.by_year()) {
-    if (year < fit_from_year) continue;
-    const auto utils = dataset::ResultRepository::metric(
-        view, [](const dataset::ServerRecord& r) {
-          return metrics::peak_ee_utilization(r.curve);
-        });
-    out.observed.push_back({year, stats::mean(utils)});
-  }
+  out.observed =
+      yearly_means(ctx, ctx.columnar().peak_ee_utilization(), fit_from_year);
   EPSERVE_EXPECTS(out.observed.size() >= 2);
 
   std::vector<double> xs, ys;
@@ -48,14 +64,11 @@ double IdleForecast::projected_idle(int year) const {
   return std::max(0.02, trend.predict(static_cast<double>(year)));
 }
 
-IdleForecast forecast_idle_fraction(const dataset::ResultRepository& repo,
+IdleForecast forecast_idle_fraction(const AnalysisContext& ctx,
                                     int fit_from_year) {
   IdleForecast out;
-  for (const auto& [year, view] : repo.by_year()) {
-    if (year < fit_from_year) continue;
-    const auto idles = dataset::ResultRepository::idle_fraction_values(view);
-    out.observed.push_back({year, stats::mean(idles)});
-  }
+  out.observed =
+      yearly_means(ctx, ctx.columnar().idle_fraction(), fit_from_year);
   EPSERVE_EXPECTS(out.observed.size() >= 2);
   std::vector<double> xs, ys;
   for (const auto& p : out.observed) {

@@ -1,7 +1,5 @@
 #include "analysis/idle_analysis.h"
 
-#include <span>
-
 #include "analysis/context.h"
 #include "stats/correlation.h"
 #include "stats/descriptive.h"
@@ -9,44 +7,17 @@
 
 namespace epserve::analysis {
 
-namespace {
-
-IdleAnalysis analyze_from_vectors(const std::vector<double>& eps,
-                                  const std::vector<double>& idles,
-                                  const std::vector<double>& scores) {
+IdleAnalysis analyze_idle_power(const AnalysisContext& ctx) {
+  const auto& snap = ctx.columnar();
+  const auto eps = snap.ep();
+  const auto idles = snap.idle_fraction();
   IdleAnalysis out;
   out.ep_idle_correlation = stats::pearson(eps, idles);
-  out.ep_score_correlation = stats::pearson(eps, scores);
+  out.ep_score_correlation = stats::pearson(eps, snap.overall_score());
   out.eq2 = stats::fit_exponential(idles, eps);
   out.predicted_ep_at_5pct_idle = out.eq2.predict(0.05);
   out.theoretical_max_ep = out.eq2.alpha;
   return out;
-}
-
-}  // namespace
-
-IdleAnalysis analyze_idle_power_uncached(
-    const dataset::ResultRepository& repo) {
-  const auto view = repo.all();
-  const auto eps = dataset::ResultRepository::ep_values(view);
-  const auto idles = dataset::ResultRepository::idle_fraction_values(view);
-  const auto scores = dataset::ResultRepository::score_values(view);
-  return analyze_from_vectors(eps, idles, scores);
-}
-
-IdleAnalysis analyze_idle_power(const dataset::ResultRepository& repo) {
-  return analyze_idle_power_uncached(repo);
-}
-
-IdleAnalysis analyze_idle_power(const AnalysisContext& ctx) {
-  // Hot path: the snapshot's columns already hold the three vectors in
-  // record order — no view construction, no per-record indirection.
-  const auto& snap = ctx.columnar();
-  const auto to_vec = [](std::span<const double> column) {
-    return std::vector<double>(column.begin(), column.end());
-  };
-  return analyze_from_vectors(to_vec(snap.ep()), to_vec(snap.idle_fraction()),
-                              to_vec(snap.overall_score()));
 }
 
 double mean_idle_fraction(const dataset::ResultRepository& repo, int from_year,

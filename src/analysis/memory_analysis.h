@@ -19,22 +19,14 @@ struct MpcRow {
 };
 
 /// All observed ratios, ascending. `min_count` filters the long tail the way
-/// Table I keeps only ratios with more than 10 results. AnalysisContext is
-/// the entry point: the ctx overload reads the cached MPC group index.
-/// `mpc_distribution_uncached` rebuilds the grouping and re-derives every
-/// metric; the plain repository overload delegates to it. Byte-identical.
+/// Table I keeps only ratios with more than 10 results. Reads the context's
+/// MPC group index.
 std::vector<MpcRow> mpc_distribution(const AnalysisContext& ctx,
-                                     std::size_t min_count = 0);
-std::vector<MpcRow> mpc_distribution_uncached(
-    const dataset::ResultRepository& repo, std::size_t min_count = 0);
-std::vector<MpcRow> mpc_distribution(const dataset::ResultRepository& repo,
                                      std::size_t min_count = 0);
 
 /// Ratio with the highest mean EP / highest mean EE among rows with at least
 /// `min_count` servers.
-double best_mpc_for_ep(const dataset::ResultRepository& repo,
-                       std::size_t min_count = 11);
-double best_mpc_for_ee(const dataset::ResultRepository& repo,
-                       std::size_t min_count = 11);
+double best_mpc_for_ep(const AnalysisContext& ctx, std::size_t min_count = 11);
+double best_mpc_for_ee(const AnalysisContext& ctx, std::size_t min_count = 11);
 
 }  // namespace epserve::analysis

@@ -38,27 +38,9 @@ std::map<double, double> global_spot_shares(
   return shares;
 }
 
-double share_peaking_at_full_load_uncached(
-    const dataset::ResultRepository& repo, int from_year, int to_year) {
-  std::size_t total = 0;
-  std::size_t at_full = 0;
-  for (const auto& r : repo.records()) {
-    if (r.hw_year < from_year || r.hw_year > to_year) continue;
-    ++total;
-    if (metrics::peak_ee_utilization(r.curve) == 1.0) ++at_full;
-  }
-  EPSERVE_EXPECTS(total > 0);
-  return static_cast<double>(at_full) / static_cast<double>(total);
-}
-
-double share_peaking_at_full_load(const dataset::ResultRepository& repo,
-                                  int from_year, int to_year) {
-  return share_peaking_at_full_load_uncached(repo, from_year, to_year);
-}
-
 double share_peaking_at_full_load(const AnalysisContext& ctx, int from_year,
                                   int to_year) {
-  // Hot path: two flat column scans, no record structs touched.
+  // Two flat column scans, no record structs touched.
   const auto& snap = ctx.columnar();
   const auto years = snap.hw_year();
   const auto spots = snap.peak_ee_utilization();

@@ -28,16 +28,11 @@ std::vector<YearSpots> peak_spot_by_year(
 std::map<double, double> global_spot_shares(
     const dataset::ResultRepository& repo);
 
-/// Share of servers peaking at 100% utilisation within [from, to].
-/// AnalysisContext is the entry point: the ctx overload reads the shared
-/// cache. `share_peaking_at_full_load_uncached` re-derives every peak-EE
-/// location; the plain repository overload delegates to it. Byte-identical.
+/// Share of servers peaking at 100% utilisation within [from, to]. Reads the
+/// context's year and peak-EE-utilisation columns; the window must hold at
+/// least one server.
 double share_peaking_at_full_load(const AnalysisContext& ctx, int from_year,
                                   int to_year);
-double share_peaking_at_full_load_uncached(
-    const dataset::ResultRepository& repo, int from_year, int to_year);
-double share_peaking_at_full_load(const dataset::ResultRepository& repo,
-                                  int from_year, int to_year);
 
 /// Total spot count (477 servers -> 478 with the 2011 dual-peak machine).
 std::size_t total_spots(const dataset::ResultRepository& repo);

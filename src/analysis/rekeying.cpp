@@ -1,90 +1,15 @@
 #include "analysis/rekeying.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "analysis/context.h"
 #include "stats/descriptive.h"
 
 namespace epserve::analysis {
 
-namespace {
-
-using MetricVectors =
-    std::function<std::vector<double>(const dataset::RecordView&)>;
-
-RekeyingResult analyze(const dataset::ResultRepository& repo,
-                       const std::map<int, dataset::RecordView>& by_hw,
-                       const std::map<int, dataset::RecordView>& by_pub,
-                       const MetricVectors& ep_of, const MetricVectors& ee_of) {
-  RekeyingResult out;
-
-  for (const auto& r : repo.records()) {
-    if (r.year_mismatch()) ++out.mismatched_results;
-  }
-  out.mismatched_share = static_cast<double>(out.mismatched_results) /
-                         static_cast<double>(repo.size());
-
-  bool first = true;
-  for (const auto& [year, hw_view] : by_hw) {
-    const auto pub_it = by_pub.find(year);
-    if (pub_it == by_pub.end()) continue;
-    const auto& pub_view = pub_it->second;
-
-    RekeyingRow row;
-    row.year = year;
-    row.hw_count = hw_view.size();
-    row.pub_count = pub_view.size();
-
-    const auto hw_ep = ep_of(hw_view);
-    const auto pub_ep = ep_of(pub_view);
-    const auto hw_ee = ee_of(hw_view);
-    const auto pub_ee = ee_of(pub_view);
-
-    row.avg_ep_delta = stats::mean(hw_ep) / stats::mean(pub_ep) - 1.0;
-    row.med_ep_delta = stats::median(hw_ep) / stats::median(pub_ep) - 1.0;
-    row.avg_ee_delta = stats::mean(hw_ee) / stats::mean(pub_ee) - 1.0;
-    row.med_ee_delta = stats::median(hw_ee) / stats::median(pub_ee) - 1.0;
-    out.rows.push_back(row);
-
-    if (first) {
-      out.min_avg_ep_delta = out.max_avg_ep_delta = row.avg_ep_delta;
-      out.min_med_ep_delta = out.max_med_ep_delta = row.med_ep_delta;
-      out.min_avg_ee_delta = out.max_avg_ee_delta = row.avg_ee_delta;
-      out.min_med_ee_delta = out.max_med_ee_delta = row.med_ee_delta;
-      first = false;
-    } else {
-      out.min_avg_ep_delta = std::min(out.min_avg_ep_delta, row.avg_ep_delta);
-      out.max_avg_ep_delta = std::max(out.max_avg_ep_delta, row.avg_ep_delta);
-      out.min_med_ep_delta = std::min(out.min_med_ep_delta, row.med_ep_delta);
-      out.max_med_ep_delta = std::max(out.max_med_ep_delta, row.med_ep_delta);
-      out.min_avg_ee_delta = std::min(out.min_avg_ee_delta, row.avg_ee_delta);
-      out.max_avg_ee_delta = std::max(out.max_avg_ee_delta, row.avg_ee_delta);
-      out.min_med_ee_delta = std::min(out.min_med_ee_delta, row.med_ee_delta);
-      out.max_med_ee_delta = std::max(out.max_med_ee_delta, row.med_ee_delta);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-RekeyingResult rekeying_analysis_uncached(
-    const dataset::ResultRepository& repo) {
-  return analyze(repo, repo.by_year(dataset::YearKey::kHardwareAvailability),
-                 repo.by_year(dataset::YearKey::kPublished),
-                 &dataset::ResultRepository::ep_values,
-                 &dataset::ResultRepository::score_values);
-}
-
-RekeyingResult rekeying_analysis(const dataset::ResultRepository& repo) {
-  return rekeying_analysis_uncached(repo);
-}
-
 RekeyingResult rekeying_analysis(const AnalysisContext& ctx) {
-  // Hot path over the two year group indexes. Group iteration order and
-  // within-group member order match the map path, so every row — and the
-  // first-row-seeded min/max tracking — is byte-identical.
+  // Rows follow the hardware-year groups in ascending year order; the
+  // min/max extremes are seeded from the first row.
   const auto& snap = ctx.columnar();
   const auto& by_hw = ctx.groups_by_year(dataset::YearKey::kHardwareAvailability);
   const auto& by_pub = ctx.groups_by_year(dataset::YearKey::kPublished);

@@ -34,13 +34,7 @@ struct RekeyingResult {
   double min_med_ee_delta = 0.0, max_med_ee_delta = 0.0;
 };
 
-/// AnalysisContext is the entry point: the ctx overload reads the shared
-/// caches. `rekeying_analysis_uncached` rebuilds both year groupings and
-/// re-derives every metric; the plain repository overload delegates to it.
-/// Byte-identical.
+/// Reads the context's two year group indexes and EP/overall-score columns.
 RekeyingResult rekeying_analysis(const AnalysisContext& ctx);
-RekeyingResult rekeying_analysis_uncached(
-    const dataset::ResultRepository& repo);
-RekeyingResult rekeying_analysis(const dataset::ResultRepository& repo);
 
 }  // namespace epserve::analysis

@@ -1,157 +1,45 @@
 #include "analysis/scale_analysis.h"
 
 #include <cstdint>
-#include <functional>
 
 #include "analysis/context.h"
-#include "metrics/efficiency.h"
-#include "metrics/proportionality.h"
 
 namespace epserve::analysis {
 
 namespace {
 
-ScaleRow make_row(int key, const dataset::RecordView& view) {
-  ScaleRow row;
-  row.key = key;
-  row.count = view.size();
-  row.ep = stats::summarize(dataset::ResultRepository::ep_values(view));
-  row.score = stats::summarize(dataset::ResultRepository::score_values(view));
-  return row;
-}
-
-using MetricVectors =
-    std::function<std::vector<double>(const dataset::RecordView&)>;
-
-TwoChipComparison compare_two_chip(
-    const std::map<int, dataset::RecordView>& by_year,
-    const MetricVectors& ep_of, const MetricVectors& ee_of) {
-  TwoChipComparison out;
-  double ep_gain_sum = 0.0, ee_gain_sum = 0.0;
-  double med_ep_gain_sum = 0.0, med_ee_gain_sum = 0.0;
-  std::size_t years_counted = 0;
-
-  for (const auto& [year, view] : by_year) {
-    dataset::RecordView two_chip;
-    for (const auto* r : view) {
-      if (r->nodes == 1 && r->chips == 2) two_chip.push_back(r);
-    }
-    if (two_chip.size() < 3) continue;  // too few for a stable comparison
-
-    TwoChipComparison::YearRow row;
-    row.year = year;
-    row.two_chip_count = two_chip.size();
-    row.all_count = view.size();
-
-    const auto ep_two = ep_of(two_chip);
-    const auto ep_all = ep_of(view);
-    const auto ee_two = ee_of(two_chip);
-    const auto ee_all = ee_of(view);
-    row.two_chip_avg_ep = stats::mean(ep_two);
-    row.all_avg_ep = stats::mean(ep_all);
-    row.two_chip_avg_ee = stats::mean(ee_two);
-    row.all_avg_ee = stats::mean(ee_all);
-    row.two_chip_med_ep = stats::median(ep_two);
-    row.all_med_ep = stats::median(ep_all);
-    row.two_chip_med_ee = stats::median(ee_two);
-    row.all_med_ee = stats::median(ee_all);
-    out.years.push_back(row);
-
-    ep_gain_sum += row.two_chip_avg_ep / row.all_avg_ep - 1.0;
-    ee_gain_sum += row.two_chip_avg_ee / row.all_avg_ee - 1.0;
-    med_ep_gain_sum += row.two_chip_med_ep / row.all_med_ep - 1.0;
-    med_ee_gain_sum += row.two_chip_med_ee / row.all_med_ee - 1.0;
-    ++years_counted;
-  }
-  if (years_counted > 0) {
-    out.avg_ep_gain = ep_gain_sum / static_cast<double>(years_counted);
-    out.avg_ee_gain = ee_gain_sum / static_cast<double>(years_counted);
-    out.median_ep_gain = med_ep_gain_sum / static_cast<double>(years_counted);
-    out.median_ee_gain = med_ee_gain_sum / static_cast<double>(years_counted);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<ScaleRow> ep_ee_by_nodes_uncached(
-    const dataset::ResultRepository& repo) {
-  std::vector<ScaleRow> out;
-  for (const auto& [nodes, view] : repo.by_nodes()) {
-    out.push_back(make_row(nodes, view));
-  }
-  return out;
-}
-
-std::vector<ScaleRow> ep_ee_by_nodes(const dataset::ResultRepository& repo) {
-  return ep_ee_by_nodes_uncached(repo);
-}
-
-std::vector<ScaleRow> ep_ee_by_chips_uncached(
-    const dataset::ResultRepository& repo) {
-  std::vector<ScaleRow> out;
-  for (const auto& [chips, view] : repo.single_node_by_chips()) {
-    out.push_back(make_row(chips, view));
-  }
-  return out;
-}
-
-std::vector<ScaleRow> ep_ee_by_chips(const dataset::ResultRepository& repo) {
-  return ep_ee_by_chips_uncached(repo);
-}
-
-namespace {
-
-ScaleRow make_row_columnar(const AnalysisContext& ctx,
-                           const dataset::GroupIndex& groups, std::size_t g) {
+/// One row per group, in ascending key order.
+std::vector<ScaleRow> rows_of(const AnalysisContext& ctx,
+                              const dataset::GroupIndex& groups) {
   const auto& snap = ctx.columnar();
-  const auto members = groups.members(g);
-  ScaleRow row;
-  row.key = groups.key(g);
-  row.count = members.size();
-  row.ep = stats::summarize(AnalysisContext::gather(snap.ep(), members));
-  row.score =
-      stats::summarize(AnalysisContext::gather(snap.overall_score(), members));
-  return row;
+  std::vector<ScaleRow> out;
+  out.reserve(groups.group_count());
+  for (std::size_t g = 0; g < groups.group_count(); ++g) {
+    const auto members = groups.members(g);
+    ScaleRow row;
+    row.key = groups.key(g);
+    row.count = members.size();
+    row.ep = stats::summarize(AnalysisContext::gather(snap.ep(), members));
+    row.score = stats::summarize(
+        AnalysisContext::gather(snap.overall_score(), members));
+    out.push_back(row);
+  }
+  return out;
 }
 
 }  // namespace
 
 std::vector<ScaleRow> ep_ee_by_nodes(const AnalysisContext& ctx) {
-  const auto& groups = ctx.groups_by_nodes();
-  std::vector<ScaleRow> out;
-  out.reserve(groups.group_count());
-  for (std::size_t g = 0; g < groups.group_count(); ++g) {
-    out.push_back(make_row_columnar(ctx, groups, g));
-  }
-  return out;
+  return rows_of(ctx, ctx.groups_by_nodes());
 }
 
 std::vector<ScaleRow> ep_ee_by_chips(const AnalysisContext& ctx) {
-  const auto& groups = ctx.groups_single_node_by_chips();
-  std::vector<ScaleRow> out;
-  out.reserve(groups.group_count());
-  for (std::size_t g = 0; g < groups.group_count(); ++g) {
-    out.push_back(make_row_columnar(ctx, groups, g));
-  }
-  return out;
-}
-
-TwoChipComparison two_chip_vs_all_uncached(
-    const dataset::ResultRepository& repo) {
-  return compare_two_chip(repo.by_year(),
-                          &dataset::ResultRepository::ep_values,
-                          &dataset::ResultRepository::score_values);
-}
-
-TwoChipComparison two_chip_vs_all(const dataset::ResultRepository& repo) {
-  return two_chip_vs_all_uncached(repo);
+  return rows_of(ctx, ctx.groups_single_node_by_chips());
 }
 
 TwoChipComparison two_chip_vs_all(const AnalysisContext& ctx) {
-  // Hot path: per-year group spans; the 2-chip single-node subset is a
-  // column filter over the span (same member order as the map path, so the
-  // per-year means/medians and the gain averages are byte-identical).
+  // Per-year group spans; the 2-chip single-node subset is a column filter
+  // over each span, in member order.
   const auto& snap = ctx.columnar();
   const auto& by_year = ctx.groups_by_year(dataset::YearKey::kHardwareAvailability);
 

@@ -21,20 +21,11 @@ struct ScaleRow {
 };
 
 /// Fig.13: multi-node and single-node rows keyed by node count (1 included
-/// for reference). AnalysisContext is the entry point: the ctx overload
-/// reads the cached group index. The `*_uncached` variants rebuild the
-/// grouping map from scratch; the plain repository overloads delegate to
-/// them. Byte-identical.
+/// for reference). Reads the context's node-count group index.
 std::vector<ScaleRow> ep_ee_by_nodes(const AnalysisContext& ctx);
-std::vector<ScaleRow> ep_ee_by_nodes_uncached(
-    const dataset::ResultRepository& repo);
-std::vector<ScaleRow> ep_ee_by_nodes(const dataset::ResultRepository& repo);
 
 /// Fig.14: single-node servers keyed by chips (1/2/4/8).
 std::vector<ScaleRow> ep_ee_by_chips(const AnalysisContext& ctx);
-std::vector<ScaleRow> ep_ee_by_chips_uncached(
-    const dataset::ResultRepository& repo);
-std::vector<ScaleRow> ep_ee_by_chips(const dataset::ResultRepository& repo);
 
 /// Fig.15: 2-chip single-node servers vs all servers, averaged over the
 /// per-hardware-year relative differences (the paper reports +2.94% EP and
@@ -57,13 +48,7 @@ struct TwoChipComparison {
   std::vector<YearRow> years;
 };
 
-/// AnalysisContext is the entry point: the ctx overload reads the shared
-/// caches. `two_chip_vs_all_uncached` rebuilds the year grouping and
-/// re-derives metrics; the plain repository overload delegates to it.
-/// Byte-identical.
+/// Reads the context's hardware-year group index and topology columns.
 TwoChipComparison two_chip_vs_all(const AnalysisContext& ctx);
-TwoChipComparison two_chip_vs_all_uncached(
-    const dataset::ResultRepository& repo);
-TwoChipComparison two_chip_vs_all(const dataset::ResultRepository& repo);
 
 }  // namespace epserve::analysis

@@ -21,20 +21,10 @@ struct YearTrendRow {
   stats::Summary peak_ee;   // peak per-level EE
 };
 
-/// Rows ascending by year; empty years are absent. AnalysisContext is the
-/// entry point: the ctx overload reads the shared memoized caches.
-/// `year_trends_uncached` derives every metric from scratch (the cold path —
-/// fixtures and cache-validation tests); the plain repository overload is a
-/// thin wrapper around it, kept for source compatibility. All three produce
-/// byte-identical rows.
+/// Rows ascending by year; empty years are absent. Reads the context's
+/// memoized columns and year group index.
 std::vector<YearTrendRow> year_trends(
     const AnalysisContext& ctx,
-    dataset::YearKey key = dataset::YearKey::kHardwareAvailability);
-std::vector<YearTrendRow> year_trends_uncached(
-    const dataset::ResultRepository& repo,
-    dataset::YearKey key = dataset::YearKey::kHardwareAvailability);
-std::vector<YearTrendRow> year_trends(
-    const dataset::ResultRepository& repo,
     dataset::YearKey key = dataset::YearKey::kHardwareAvailability);
 
 /// The paper's §III.A jump metric: relative change of the average EP from

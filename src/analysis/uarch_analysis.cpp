@@ -1,69 +1,16 @@
 #include "analysis/uarch_analysis.h"
 
 #include <algorithm>
-#include <functional>
+#include <cstdint>
 
 #include "analysis/context.h"
-#include "metrics/proportionality.h"
 #include "stats/descriptive.h"
 
 namespace epserve::analysis {
 
-namespace {
-
-std::vector<CodenameEp> rank_codenames(
-    const std::map<std::string, dataset::RecordView>& by_codename,
-    const std::function<std::vector<double>(const dataset::RecordView&)>&
-        ep_of) {
-  std::vector<CodenameEp> out;
-  for (const auto& [name, view] : by_codename) {
-    CodenameEp row;
-    row.codename = name;
-    row.count = view.size();
-    const auto eps = ep_of(view);
-    row.mean_ep = stats::mean(eps);
-    row.median_ep = stats::median(eps);
-    out.push_back(std::move(row));
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.mean_ep > b.mean_ep;
-  });
-  return out;
-}
-
-}  // namespace
-
-std::vector<FamilyCount> family_counts_uncached(
-    const dataset::ResultRepository& repo) {
-  std::vector<FamilyCount> out;
-  for (const auto& [family, view] : repo.by_family()) {
-    out.push_back({family, view.size()});
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.count > b.count;
-  });
-  return out;
-}
-
-std::vector<FamilyCount> family_counts(const dataset::ResultRepository& repo) {
-  return family_counts_uncached(repo);
-}
-
-std::vector<CodenameEp> codename_ep_ranking_uncached(
-    const dataset::ResultRepository& repo) {
-  return rank_codenames(repo.by_codename(),
-                        &dataset::ResultRepository::ep_values);
-}
-
-std::vector<CodenameEp> codename_ep_ranking(
-    const dataset::ResultRepository& repo) {
-  return codename_ep_ranking_uncached(repo);
-}
-
 std::vector<CodenameEp> codename_ep_ranking(const AnalysisContext& ctx) {
-  // Hot path over codename-id group spans. Interned ids are lexicographic
-  // ranks, so the pre-sort row order — and therefore the (unstable) sort's
-  // output — matches the map path exactly.
+  // Codename-id groups in ascending id order. Interned ids are lexicographic
+  // ranks, so the rows enter the (unstable) sort in codename order.
   const auto& snap = ctx.columnar();
   const auto& groups = ctx.groups_by_codename();
   std::vector<CodenameEp> out;
@@ -108,25 +55,39 @@ std::map<int, std::map<std::string, std::size_t>> yearly_codename_mix(
   return mix;
 }
 
-std::vector<MixShift> composition_decomposition(
-    const dataset::ResultRepository& repo, int from_year, int to_year) {
-  // Global per-codename mean EP.
-  std::map<std::string, double> codename_mean;
-  for (const auto& [name, view] : repo.by_codename()) {
-    codename_mean[name] =
-        stats::mean(dataset::ResultRepository::ep_values(view));
+std::vector<double> codename_mean_eps(const AnalysisContext& ctx) {
+  const auto& snap = ctx.columnar();
+  const auto& groups = ctx.groups_by_codename();
+  std::vector<double> means(snap.codenames().size());
+  for (std::size_t g = 0; g < groups.group_count(); ++g) {
+    means[static_cast<std::size_t>(groups.key(g))] =
+        stats::mean(AnalysisContext::gather(snap.ep(), groups.members(g)));
   }
+  return means;
+}
 
+std::vector<MixShift> composition_decomposition(const AnalysisContext& ctx,
+                                                int from_year, int to_year) {
+  const auto& snap = ctx.columnar();
+  const auto ep = snap.ep();
+  const auto codename_mean = codename_mean_eps(ctx);
+  const auto& by_year =
+      ctx.groups_by_year(dataset::YearKey::kHardwareAvailability);
   std::vector<MixShift> out;
-  for (const auto& [year, view] : repo.by_year()) {
+  for (std::size_t g = 0; g < by_year.group_count(); ++g) {
+    const int year = by_year.key(g);
     if (year < from_year || year > to_year) continue;
+    const auto members = by_year.members(g);
     MixShift row;
     row.year = year;
-    row.actual_mean_ep =
-        stats::mean(dataset::ResultRepository::ep_values(view));
+    row.actual_mean_ep = stats::mean(AnalysisContext::gather(ep, members));
     double predicted = 0.0;
-    for (const auto* r : view) predicted += codename_mean.at(r->cpu_codename);
-    row.composition_predicted_ep = predicted / static_cast<double>(view.size());
+    for (const std::uint32_t i : members) {
+      predicted +=
+          codename_mean[static_cast<std::size_t>(snap.codename_id()[i])];
+    }
+    row.composition_predicted_ep =
+        predicted / static_cast<double>(members.size());
     out.push_back(row);
   }
   return out;

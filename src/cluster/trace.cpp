@@ -12,9 +12,7 @@ namespace epserve::cluster {
 namespace {
 
 /// The shared shifted-sine day profile: trough around 04:00, peak around
-/// 20:00. Exactly the expression the legacy DemandTrace::diurnal evaluates
-/// (before its clamp), so the registry's diurnal trace is byte-identical to
-/// the legacy default whenever no clamping would have occurred.
+/// 20:00.
 double diurnal_value(int hour, double base, double amplitude) {
   const double phase =
       2.0 * std::numbers::pi * (static_cast<double>(hour) - 10.0) / 24.0;
@@ -114,12 +112,6 @@ std::string known_names_list() {
 }
 
 }  // namespace
-
-DemandTrace DemandTrace::diurnal(double base, double amplitude) {
-  DemandTrace trace = gen_diurnal(base, amplitude);
-  for (double& value : trace.demand) value = std::clamp(value, 0.0, 1.0);
-  return trace;
-}
 
 int DemandTrace::idle_state_cap(std::size_t slot, int deepest) const {
   if (max_idle_state.empty()) return deepest;

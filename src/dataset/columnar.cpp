@@ -54,7 +54,7 @@ epserve::Result<bool> ColumnarSnapshot::Builder::append(
     snap_.pub_year_.push_back(r.pub_year);
     snap_.nodes_.push_back(r.nodes);
     snap_.chips_.push_back(r.chips);
-    snap_.total_cores_.push_back(r.total_cores());
+    snap_.total_cores_.push_back(static_cast<std::int32_t>(r.total_cores()));
     // Provisional first-seen intern id; finish() remaps onto the sorted id
     // space so the result matches the one-shot sorted-unique interning.
     const auto [it, inserted] = provisional_ids_.try_emplace(

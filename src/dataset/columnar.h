@@ -1,21 +1,18 @@
 // ColumnarSnapshot: structure-of-arrays view of a ResultRepository.
 //
-// Every figure/table in the paper is a group-by over the population, and the
-// row-oriented query layer (RecordView = vector<const ServerRecord*>) pays
-// for that with pointer chasing, per-group heap allocation, and std::function
-// indirection on each metric extraction. The snapshot flattens the fields the
-// analyses actually touch into index-aligned columns, built once per
-// repository (AnalysisContext caches one under std::call_once). Group-bys
-// then become permutation sorts over int32 key columns (dataset/group_index.h)
-// and metric extraction becomes a contiguous gather.
+// Every figure/table in the paper is a group-by over the population. The
+// snapshot flattens the fields the analyses actually touch into index-aligned
+// columns, built once per repository (AnalysisContext caches one under
+// std::call_once). Group-bys are permutation sorts over int32 key columns
+// (dataset/group_index.h) and metric extraction is a contiguous gather — no
+// pointer chasing, per-group heap allocation or per-record indirection.
 //
 // Determinism contract: the derived columns are bit-for-bit copies of the
 // DerivedCurveMetrics bundle, and every grouping built on top of the snapshot
 // iterates records in ascending record-index order within a group and
-// ascending key order across groups — exactly the order the std::map-based
-// builders produce. Anything computed from spans + columns is therefore
-// byte-identical to the legacy map-of-views path (pinned by
-// tests/dataset_columnar_test.cpp).
+// ascending key order across groups (pinned by
+// tests/dataset_columnar_test.cpp). Analysis outputs computed from spans +
+// columns are pinned byte for byte by the dumps in tests/golden/.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +90,7 @@ class ColumnarSnapshot {
     return codename_id_;
   }
   /// static_cast<int32>(power::UarchFamily) — ascending ids match the
-  /// enum's (and so std::map<UarchFamily>'s) order.
+  /// enum's order.
   [[nodiscard]] std::span<const std::int32_t> family_id() const {
     return family_id_;
   }
@@ -129,7 +126,7 @@ class ColumnarSnapshot {
 
   // --- Codename interning ---------------------------------------------------
   /// Distinct codenames sorted ascending, so iterating codename-id groups in
-  /// ascending id order matches std::map<std::string, ...> key order.
+  /// ascending id order visits codenames in lexicographic order.
   [[nodiscard]] const std::vector<std::string>& codenames() const {
     return codenames_;
   }

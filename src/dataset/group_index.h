@@ -1,17 +1,14 @@
 // GroupIndex: span-based grouping over a ColumnarSnapshot key column.
 //
-// One permutation sort per key replaces the map-of-vectors group builders:
-// the index stores a single uint32 permutation of the participating record
-// indices plus per-group [begin, end) offsets into it, so a whole grouping
-// costs two flat allocations and groups are contiguous spans (no per-group
-// heap vectors, no pointer chasing).
+// One permutation sort per key: the index stores a single uint32 permutation
+// of the participating record indices plus per-group [begin, end) offsets
+// into it, so a whole grouping costs two flat allocations and groups are
+// contiguous spans (no per-group heap vectors, no pointer chasing).
 //
 // Ordering contract (load-bearing for byte-identical reports): groups are
 // exposed in ascending key order, and members within a group in ascending
-// record-index order — exactly std::map insertion order in the legacy
-// builders. Iterating `members(g)` and gathering from a snapshot column
-// therefore visits values in the same order as iterating the corresponding
-// map-of-views group.
+// record-index order, so iterating `members(g)` and gathering from a
+// snapshot column visits values in record order within each key.
 //
 // Build strategies: interned key columns (years, codename/family ids,
 // mpc_centi, node/chip counts) have tiny value ranges, so the default build

@@ -7,6 +7,7 @@
 // availability year), and the 11-point measurement sheet.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "metrics/power_curve.h"
@@ -39,14 +40,16 @@ struct ServerRecord {
   // Measurements.
   metrics::PowerCurve curve;
 
-  /// Total cores across all nodes and chips.
-  [[nodiscard]] int total_cores() const {
-    return nodes * chips * cores_per_chip;
+  /// Total cores across all nodes and chips, computed in 64 bits: imported
+  /// topologies are unbounded ints, and validate_population() reports a
+  /// product past int range before anything narrows it.
+  [[nodiscard]] std::int64_t total_cores() const {
+    return std::int64_t{nodes} * chips * cores_per_chip;
   }
 
   /// Installed memory per core in GB (the paper's MPC metric).
   [[nodiscard]] double memory_per_core() const {
-    return memory_gb / total_cores();
+    return memory_gb / static_cast<double>(total_cores());
   }
 
   [[nodiscard]] bool is_multi_node() const { return nodes > 1; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "metrics/efficiency.h"
 #include "metrics/proportionality.h"
@@ -30,69 +29,8 @@ RecordView ResultRepository::where(
   return view;
 }
 
-namespace {
-
-/// Shared group-builder: one counting pass so every group vector is
-/// allocated exactly once, then a fill pass in record order. `key_of`
-/// returns nullopt for records excluded from the grouping.
-template <typename Key, typename KeyFn>
-std::map<Key, RecordView> grouped(const std::vector<ServerRecord>& records,
-                                  KeyFn&& key_of) {
-  std::map<Key, std::size_t> counts;
-  for (const auto& r : records) {
-    if (const auto key = key_of(r)) ++counts[*key];
-  }
-  std::map<Key, RecordView> groups;
-  for (const auto& [key, count] : counts) groups[key].reserve(count);
-  for (const auto& r : records) {
-    if (const auto key = key_of(r)) groups[*key].push_back(&r);
-  }
-  return groups;
-}
-
-}  // namespace
-
-std::map<int, RecordView> ResultRepository::by_year(YearKey key) const {
-  return grouped<int>(records_, [key](const ServerRecord& r) {
-    return std::optional<int>(
-        key == YearKey::kHardwareAvailability ? r.hw_year : r.pub_year);
-  });
-}
-
-std::map<power::UarchFamily, RecordView> ResultRepository::by_family() const {
-  return grouped<power::UarchFamily>(records_, [](const ServerRecord& r) {
-    const auto* info = power::find_uarch(r.cpu_codename);
-    EPSERVE_ENSURES(info != nullptr);
-    return std::optional<power::UarchFamily>(info->family);
-  });
-}
-
-std::map<std::string, RecordView> ResultRepository::by_codename() const {
-  return grouped<std::string>(records_, [](const ServerRecord& r) {
-    return std::optional<std::string>(r.cpu_codename);
-  });
-}
-
-std::map<int, RecordView> ResultRepository::by_nodes() const {
-  return grouped<int>(records_, [](const ServerRecord& r) {
-    return std::optional<int>(r.nodes);
-  });
-}
-
-std::map<int, RecordView> ResultRepository::single_node_by_chips() const {
-  return grouped<int>(records_, [](const ServerRecord& r) {
-    return r.nodes == 1 ? std::optional<int>(r.chips) : std::nullopt;
-  });
-}
-
 int ResultRepository::mpc_centi_key(const ServerRecord& record) {
   return static_cast<int>(std::lround(record.memory_per_core() * 100.0));
-}
-
-std::map<int, RecordView> ResultRepository::by_memory_per_core() const {
-  return grouped<int>(records_, [](const ServerRecord& r) {
-    return std::optional<int>(mpc_centi_key(r));
-  });
 }
 
 std::vector<double> ResultRepository::metric(
@@ -138,22 +76,6 @@ RecordView ResultRepository::top_decile_by(
             [&](const ServerRecord* a, const ServerRecord* b) {
               const double fa = values[index_of(*a)];
               const double fb = values[index_of(*b)];
-              if (fa != fb) return fa > fb;
-              return a->id < b->id;
-            });
-  view.resize(std::min(cutoff, view.size()));
-  return view;
-}
-
-RecordView ResultRepository::top_decile(
-    const std::function<double(const ServerRecord&)>& fn) const {
-  RecordView view = all();
-  const auto cutoff =
-      static_cast<std::size_t>(std::ceil(static_cast<double>(view.size()) * 0.1));
-  std::sort(view.begin(), view.end(),
-            [&](const ServerRecord* a, const ServerRecord* b) {
-              const double fa = fn(*a);
-              const double fb = fn(*b);
               if (fa != fb) return fa > fb;
               return a->id < b->id;
             });

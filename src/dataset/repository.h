@@ -1,15 +1,14 @@
-// ResultRepository: query layer over a generated (or imported) population.
-// Provides the slicing/grouping operations the paper's analyses repeat:
-// by hardware-availability year, by published year, by microarchitecture
-// family/codename, by topology, plus metric extraction and top-decile sets.
+// ResultRepository: owner of a generated (or imported) population, with
+// record views, metric extraction and top-decile sets. Group-bys (by year,
+// family, codename, topology, memory per core) are GroupIndex spans over a
+// ColumnarSnapshot of the repository (dataset/columnar.h,
+// dataset/group_index.h).
 #pragma once
 
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "dataset/record.h"
-#include "power/uarch.h"
 
 namespace epserve::dataset {
 
@@ -35,26 +34,9 @@ class ResultRepository {
   [[nodiscard]] RecordView where(
       const std::function<bool(const ServerRecord&)>& pred) const;
 
-  /// Grouped by year under the chosen key (ascending year order).
-  [[nodiscard]] std::map<int, RecordView> by_year(
-      YearKey key = YearKey::kHardwareAvailability) const;
-
-  /// Grouped by microarchitecture family.
-  [[nodiscard]] std::map<power::UarchFamily, RecordView> by_family() const;
-
-  /// Grouped by codename.
-  [[nodiscard]] std::map<std::string, RecordView> by_codename() const;
-
-  /// Grouped by node count / by chips (single-node only for chips).
-  [[nodiscard]] std::map<int, RecordView> by_nodes() const;
-  [[nodiscard]] std::map<int, RecordView> single_node_by_chips() const;
-
-  /// Grouped by memory-per-core ratio, keyed by integer centi-GB-per-core
-  /// (150 == 1.50 GB/core). The integer key keeps map lookups exact; divide
-  /// by 100.0 to recover the 2-decimal ratio the paper's Table I prints.
-  [[nodiscard]] std::map<int, RecordView> by_memory_per_core() const;
-
-  /// by_memory_per_core's key for one record.
+  /// Memory-per-core grouping key of one record: integer centi-GB-per-core
+  /// (150 == 1.50 GB/core). The integer key keeps grouping exact; divide by
+  /// 100.0 to recover the 2-decimal ratio the paper's Table I prints.
   static int mpc_centi_key(const ServerRecord& record);
 
   /// Metric vector over a view (EP, overall score, idle fraction, ...).
@@ -67,19 +49,15 @@ class ResultRepository {
   static std::vector<double> score_values(const RecordView& view);
   static std::vector<double> idle_fraction_values(const RecordView& view);
 
-  /// The ceil(10%) records with the highest value of `fn` (ties broken by
-  /// record id for determinism).
-  [[nodiscard]] RecordView top_decile(
-      const std::function<double(const ServerRecord&)>& fn) const;
-
   /// Index of a record inside records(). Views hold pointers into that
   /// vector, so this is the hook a metric cache (analysis::AnalysisContext)
   /// uses to keep index-aligned per-record data. `record` must belong to
   /// this repository.
   [[nodiscard]] std::size_t index_of(const ServerRecord& record) const;
 
-  /// top_decile over a pre-computed, index-aligned value vector (one value
-  /// per record, same ordering rules as top_decile).
+  /// The ceil(10%) records with the highest value, given one pre-computed
+  /// value per record, index-aligned with records() (ties broken by record
+  /// id for determinism).
   [[nodiscard]] RecordView top_decile_by(
       const std::vector<double>& values) const;
 

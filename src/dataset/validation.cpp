@@ -1,7 +1,10 @@
 #include "dataset/validation.h"
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "power/uarch.h"
 
@@ -10,6 +13,15 @@ namespace epserve::dataset {
 namespace {
 constexpr int kFirstPlausibleYear = 2000;
 constexpr int kLastPlausibleYear = 2030;
+
+/// True when nodes * chips * cores_per_chip (each >= 1) exceeds int range.
+/// nodes * chips always fits 64 bits, and the third factor is applied only
+/// when that partial product fits an int, so the check cannot overflow.
+bool core_count_overflows(const ServerRecord& r) {
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+  const std::int64_t node_chips = std::int64_t{r.nodes} * r.chips;
+  return node_chips > kMax || node_chips * r.cores_per_chip > kMax;
+}
 }  // namespace
 
 ValidationReport validate_population(
@@ -38,12 +50,21 @@ ValidationReport validate_population(
     if (power::find_uarch(r.cpu_codename) == nullptr) {
       add(r.id, "unknown CPU codename: " + r.cpu_codename);
     }
+    // Memory per core is only meaningful for a positive core count that
+    // fits an int.
+    bool cores_valid = false;
     if (r.nodes < 1 || r.chips < 1 || r.cores_per_chip < 1) {
       add(r.id, "non-positive topology");
+    } else if (core_count_overflows(r)) {
+      add(r.id, "core count overflows: " + std::to_string(r.nodes) + " x " +
+                    std::to_string(r.chips) + " x " +
+                    std::to_string(r.cores_per_chip));
+    } else {
+      cores_valid = true;
     }
     if (r.memory_gb <= 0.0) {
       add(r.id, "non-positive memory");
-    } else if (r.memory_per_core() > 64.0) {
+    } else if (cores_valid && r.memory_per_core() > 64.0) {
       std::ostringstream oss;
       oss << "implausible memory per core: " << r.memory_per_core()
           << " GB/core";

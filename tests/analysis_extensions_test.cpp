@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/context.h"
 #include "analysis/forecast.h"
 #include "analysis/metric_comparison.h"
 #include "dataset/generator.h"
@@ -15,6 +16,12 @@ const dataset::ResultRepository& repo() {
     EXPECT_TRUE(result.ok());
     return dataset::ResultRepository(std::move(result).take());
   }();
+  return instance;
+}
+
+/// The shared analysis context over repo().
+const AnalysisContext& ctx() {
+  static const AnalysisContext instance(repo());
   return instance;
 }
 
@@ -96,7 +103,7 @@ TEST(MetricComparison, GlobalShareAt60MatchesPaper) {
 // --- Forecast (§IV.A closing claim) -------------------------------------------
 
 TEST(Forecast, PeakShiftTrendIsDownward) {
-  const auto forecast = forecast_peak_shift(repo());
+  const auto forecast = forecast_peak_shift(ctx());
   EXPECT_LT(forecast.trend.slope, 0.0);
   ASSERT_GE(forecast.observed.size(), 5u);
   EXPECT_EQ(forecast.observed.front().year, 2010);
@@ -104,7 +111,7 @@ TEST(Forecast, PeakShiftTrendIsDownward) {
 }
 
 TEST(Forecast, ProjectionReaches50PercentWithinADecade) {
-  const auto forecast = forecast_peak_shift(repo(), 2010, 2030);
+  const auto forecast = forecast_peak_shift(ctx(), 2010, 2030);
   // Paper: "we can expect the peak EE at 50% or even 40% utilization in the
   // near future". The fitted shift should cross 0.5 within ~a decade of the
   // dataset cut.
@@ -116,21 +123,21 @@ TEST(Forecast, ProjectionReaches50PercentWithinADecade) {
 }
 
 TEST(Forecast, ProjectedValuesClampAtLowestLevel) {
-  const auto forecast = forecast_peak_shift(repo(), 2010, 2060);
+  const auto forecast = forecast_peak_shift(ctx(), 2010, 2060);
   for (const auto& p : forecast.projected) {
     EXPECT_GE(p.value, metrics::kLoadLevels.front());
   }
 }
 
 TEST(Forecast, IdleFractionTrendIsDownward) {
-  const auto forecast = forecast_idle_fraction(repo());
+  const auto forecast = forecast_idle_fraction(ctx());
   EXPECT_LT(forecast.trend.slope, 0.0);
   // Projection never goes negative.
   EXPECT_GE(forecast.projected_idle(2040), 0.02);
 }
 
 TEST(Forecast, RequiresEnoughYears) {
-  EXPECT_THROW(static_cast<void>(forecast_peak_shift(repo(), 2016)),
+  EXPECT_THROW(static_cast<void>(forecast_peak_shift(ctx(), 2016)),
                ContractViolation);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/async_analysis.h"
+#include "analysis/context.h"
 #include "analysis/envelope.h"
 #include "analysis/idle_analysis.h"
 #include "analysis/memory_analysis.h"
@@ -27,10 +28,16 @@ const dataset::ResultRepository& repo() {
   return instance;
 }
 
+/// The shared analysis context over repo().
+const AnalysisContext& ctx() {
+  static const AnalysisContext instance(repo());
+  return instance;
+}
+
 // --- Trends -------------------------------------------------------------------
 
 TEST(Trends, CoversAllYears2004To2016) {
-  const auto rows = year_trends(repo());
+  const auto rows = year_trends(ctx());
   ASSERT_EQ(rows.size(), 13u);
   EXPECT_EQ(rows.front().year, 2004);
   EXPECT_EQ(rows.back().year, 2016);
@@ -38,12 +45,12 @@ TEST(Trends, CoversAllYears2004To2016) {
 
 TEST(Trends, CountsSumToPopulation) {
   std::size_t total = 0;
-  for (const auto& row : year_trends(repo())) total += row.count;
+  for (const auto& row : year_trends(ctx())) total += row.count;
   EXPECT_EQ(total, repo().size());
 }
 
 TEST(Trends, EpJumpsMatchPaperDirection) {
-  const auto rows = year_trends(repo());
+  const auto rows = year_trends(ctx());
   EXPECT_GT(ep_jump(rows, 2008, 2009).value(), 0.35);  // paper +48.65%
   EXPECT_GT(ep_jump(rows, 2011, 2012).value(), 0.18);  // paper +24.24%
   // Non-tock transitions move much less.
@@ -51,12 +58,12 @@ TEST(Trends, EpJumpsMatchPaperDirection) {
 }
 
 TEST(Trends, PublishedYearKeyHasNoPre2007Rows) {
-  const auto rows = year_trends(repo(), dataset::YearKey::kPublished);
+  const auto rows = year_trends(ctx(), dataset::YearKey::kPublished);
   EXPECT_GE(rows.front().year, 2007);
 }
 
 TEST(Trends, EpJumpRejectsMissingYears) {
-  const auto rows = year_trends(repo());
+  const auto rows = year_trends(ctx());
   const auto missing_from = ep_jump(rows, 1999, 2009);
   ASSERT_FALSE(missing_from.ok());
   EXPECT_EQ(missing_from.error().code, Error::Code::kNotFound);
@@ -69,7 +76,7 @@ TEST(Trends, EpJumpRejectsMissingYears) {
 
 TEST(Trends, PeakEeSummaryAtLeastOverallScore) {
   // Peak per-level EE always >= the overall (mixed-load) score.
-  for (const auto& row : year_trends(repo())) {
+  for (const auto& row : year_trends(ctx())) {
     EXPECT_GE(row.peak_ee.mean, row.score.mean);
   }
 }
@@ -167,7 +174,7 @@ TEST(Envelope, SameEpDifferentCrossingBehaviour) {
 
 TEST(Uarch, FamilyCountsSumToPopulation) {
   std::size_t total = 0;
-  for (const auto& row : family_counts(repo())) total += row.count;
+  for (const auto& row : family_counts(ctx())) total += row.count;
   EXPECT_EQ(total, repo().size());
 }
 
@@ -175,7 +182,7 @@ TEST(Uarch, SandyBridgePlusIvyCounts152) {
   // Paper Fig.6: the Sandy Bridge bar (which folds in Ivy Bridge) holds 152
   // servers; Netburst holds 3.
   std::size_t snb = 0, netburst = 0;
-  for (const auto& row : family_counts(repo())) {
+  for (const auto& row : family_counts(ctx())) {
     if (row.family == power::UarchFamily::kSandyBridge ||
         row.family == power::UarchFamily::kIvyBridge) {
       snb += row.count;
@@ -187,7 +194,7 @@ TEST(Uarch, SandyBridgePlusIvyCounts152) {
 }
 
 TEST(Uarch, SandyBridgeEnTopsCodenameRanking) {
-  const auto ranking = codename_ep_ranking(repo());
+  const auto ranking = codename_ep_ranking(ctx());
   ASSERT_FALSE(ranking.empty());
   EXPECT_EQ(ranking.front().codename, "Sandy Bridge EN");
   EXPECT_NEAR(ranking.front().mean_ep, 0.90, 0.04);  // paper Fig.7: 0.90
@@ -196,7 +203,7 @@ TEST(Uarch, SandyBridgeEnTopsCodenameRanking) {
 TEST(Uarch, IvyBridgeBelowSandyBridgeDespiteFinerProcess) {
   // Paper §III.B: 22nm Ivy Bridge has LOWER EP than 32nm Sandy Bridge.
   double ivy = 0.0, sandy = 0.0;
-  for (const auto& row : codename_ep_ranking(repo())) {
+  for (const auto& row : codename_ep_ranking(ctx())) {
     if (row.codename == "Ivy Bridge") ivy = row.mean_ep;
     if (row.codename == "Sandy Bridge") sandy = row.mean_ep;
   }
@@ -219,7 +226,7 @@ TEST(Uarch, YearlyMixShowsIvyBridgeTakeoverIn2013) {
 TEST(Uarch, CompositionExplainsThe2013Dip) {
   // The mix-predicted EP for 2013 must itself be below the 2012 level:
   // the dip is a composition effect, not a per-codename regression.
-  const auto rows = composition_decomposition(repo(), 2012, 2014);
+  const auto rows = composition_decomposition(ctx(), 2012, 2014);
   ASSERT_EQ(rows.size(), 3u);
   const auto& y2012 = rows[0];
   const auto& y2013 = rows[1];
@@ -242,8 +249,8 @@ TEST(PeakShiftAnalysis, GlobalSharesMatchPaper) {
 }
 
 TEST(PeakShiftAnalysis, IntervalContrast) {
-  EXPECT_NEAR(share_peaking_at_full_load(repo(), 2004, 2012), 0.7571, 0.03);
-  EXPECT_NEAR(share_peaking_at_full_load(repo(), 2013, 2016), 0.2321, 0.04);
+  EXPECT_NEAR(share_peaking_at_full_load(ctx(), 2004, 2012), 0.7571, 0.03);
+  EXPECT_NEAR(share_peaking_at_full_load(ctx(), 2013, 2016), 0.2321, 0.04);
 }
 
 TEST(PeakShiftAnalysis, PerYearRowsConsistent) {
@@ -258,7 +265,7 @@ TEST(PeakShiftAnalysis, PerYearRowsConsistent) {
 // --- Asynchronisation (§IV.B) --------------------------------------------------------
 
 TEST(Async, TopEpDecileDominatedBy2012) {
-  const auto result = async_top_decile(repo());
+  const auto result = async_top_decile(ctx());
   // Paper: 91.7% of the top-EP decile is 2012 hardware.
   EXPECT_GT(result.top_ep_year_shares.at(2012), 0.60);
   // ... far above 2012's population share (27.4%).
@@ -267,7 +274,7 @@ TEST(Async, TopEpDecileDominatedBy2012) {
 }
 
 TEST(Async, TopEeDecileDominatedByRecentYears) {
-  const auto result = async_top_decile(repo());
+  const auto result = async_top_decile(ctx());
   const auto share = [&](int year) {
     const auto it = result.top_ee_year_shares.find(year);
     return it == result.top_ee_year_shares.end() ? 0.0 : it->second;
@@ -279,7 +286,7 @@ TEST(Async, TopEeDecileDominatedByRecentYears) {
 }
 
 TEST(Async, SmallOverlapBetweenTopEpAndTopEe) {
-  const auto result = async_top_decile(repo());
+  const auto result = async_top_decile(ctx());
   // Paper: 14.6%.
   EXPECT_LT(result.overlap, 0.35);
 }
@@ -287,27 +294,27 @@ TEST(Async, SmallOverlapBetweenTopEpAndTopEe) {
 // --- Scale (Fig.13-15) -----------------------------------------------------------------
 
 TEST(Scale, NodeRowsCoverAllCounts) {
-  const auto rows = ep_ee_by_nodes(repo());
+  const auto rows = ep_ee_by_nodes(ctx());
   ASSERT_EQ(rows.size(), 5u);  // 1, 2, 4, 8, 16
   EXPECT_EQ(rows[0].key, 1);
   EXPECT_EQ(rows[4].key, 16);
 }
 
 TEST(Scale, MedianEpGrowsWithNodes) {
-  const auto rows = ep_ee_by_nodes(repo());
+  const auto rows = ep_ee_by_nodes(ctx());
   // multi-node rows: indices 1..4 for 2/4/8/16 nodes.
   EXPECT_LT(rows[1].ep.median, rows[2].ep.median);
   EXPECT_LT(rows[2].ep.median, rows[4].ep.median);
 }
 
 TEST(Scale, AverageEpDipsAtEightNodes) {
-  const auto rows = ep_ee_by_nodes(repo());
+  const auto rows = ep_ee_by_nodes(ctx());
   EXPECT_LT(rows[3].ep.mean, rows[2].ep.mean);  // 8 nodes below 4 nodes
   EXPECT_GT(rows[4].ep.mean, rows[3].ep.mean);  // recovers at 16
 }
 
 TEST(Scale, TwoChipRowLeadsSingleNodeServers) {
-  const auto rows = ep_ee_by_chips(repo());
+  const auto rows = ep_ee_by_chips(ctx());
   ASSERT_EQ(rows.size(), 4u);
   const auto& one = rows[0];
   const auto& two = rows[1];
@@ -322,7 +329,7 @@ TEST(Scale, TwoChipRowLeadsSingleNodeServers) {
 }
 
 TEST(Scale, TwoChipVsAllGainsPositive) {
-  const auto cmp = two_chip_vs_all(repo());
+  const auto cmp = two_chip_vs_all(ctx());
   // Paper Fig.15: +2.94% EP, +4.13% EE on yearly averages.
   EXPECT_GT(cmp.avg_ep_gain, 0.0);
   EXPECT_LT(cmp.avg_ep_gain, 0.10);
@@ -333,7 +340,7 @@ TEST(Scale, TwoChipVsAllGainsPositive) {
 // --- Memory (Table I / Fig.17) ------------------------------------------------------------
 
 TEST(Memory, TableIFilterKeepsSevenBuckets) {
-  const auto rows = mpc_distribution(repo(), 11);
+  const auto rows = mpc_distribution(ctx(), 11);
   EXPECT_EQ(rows.size(), 7u);  // the paper's Table I: ratios with > 10 counts
   std::size_t covered = 0;
   for (const auto& row : rows) covered += row.count;
@@ -341,14 +348,14 @@ TEST(Memory, TableIFilterKeepsSevenBuckets) {
 }
 
 TEST(Memory, SweetSpotsMatchPaper) {
-  EXPECT_DOUBLE_EQ(best_mpc_for_ep(repo()), 1.5);
-  EXPECT_DOUBLE_EQ(best_mpc_for_ee(repo()), 1.78);
+  EXPECT_DOUBLE_EQ(best_mpc_for_ep(ctx()), 1.5);
+  EXPECT_DOUBLE_EQ(best_mpc_for_ee(ctx()), 1.78);
 }
 
 // --- Idle analysis (Eq.2) -------------------------------------------------------------------
 
 TEST(Idle, HeadlineNumbersNearPaper) {
-  const auto result = analyze_idle_power(repo());
+  const auto result = analyze_idle_power(ctx());
   EXPECT_LT(result.ep_idle_correlation, -0.85);
   EXPECT_GT(result.ep_score_correlation, 0.55);
   EXPECT_NEAR(result.eq2.alpha, 1.2969, 0.25);
@@ -369,14 +376,14 @@ TEST(Idle, IdleFractionFellFasterBefore2012) {
 // --- Re-keying (§I) ----------------------------------------------------------------------------
 
 TEST(Rekeying, MismatchShareMatchesPaper) {
-  const auto result = rekeying_analysis(repo());
+  const auto result = rekeying_analysis(ctx());
   EXPECT_EQ(result.mismatched_results, 74u);
   EXPECT_NEAR(result.mismatched_share, 0.155, 0.003);
 }
 
 TEST(Rekeying, DeltasAreNonTrivial) {
   // The paper's point: re-keying moves the per-year stats by whole percents.
-  const auto result = rekeying_analysis(repo());
+  const auto result = rekeying_analysis(ctx());
   EXPECT_LT(result.min_avg_ep_delta, 0.0);
   EXPECT_GT(result.max_avg_ep_delta, 0.005);
   EXPECT_GT(result.max_avg_ee_delta, 0.01);

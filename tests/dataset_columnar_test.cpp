@@ -1,28 +1,32 @@
-// Equivalence contract of the columnar engine (docs/COLUMNAR.md): every
-// GroupIndex built over a ColumnarSnapshot key column must expose exactly the
-// groups the legacy std::map builders produce — same keys in the same order,
-// same members in the same order — across population sizes, and the batched
-// power kernel must be bit-identical to the scalar one. Runs under the
-// `columnar` ctest label, i.e. also under -DEPSERVE_SANITIZE=thread.
+// Contract of the columnar engine (docs/COLUMNAR.md): every GroupIndex built
+// over a ColumnarSnapshot key column partitions the rows into groups in
+// ascending key order with members in ascending record order, across
+// population sizes, and the batched power kernel is bit-identical to the
+// scalar one. Runs under the `columnar` ctest label, i.e. also under
+// -DEPSERVE_SANITIZE=thread.
 #include "dataset/columnar.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <functional>
+#include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "analysis/context.h"
-#include "analysis/memory_analysis.h"
 #include "cluster/day_simulation.h"
 #include "cluster/placement.h"
+#include "cluster/trace.h"
 #include "dataset/generator.h"
 #include "dataset/group_index.h"
 #include "dataset/repository.h"
 #include "metrics/derived.h"
 #include "metrics/power_curve.h"
+#include "power/uarch.h"
 
 namespace epserve::dataset {
 namespace {
@@ -50,100 +54,94 @@ ResultRepository repo_of_size(std::size_t n) {
   return ResultRepository(std::move(records));
 }
 
-/// Legacy map groups flattened to (int32 key, view) pairs in map order.
-using LegacyGroups = std::vector<std::pair<std::int32_t, const RecordView*>>;
-
-void expect_equivalent(const ResultRepository& repo, const GroupIndex& groups,
-                       const LegacyGroups& legacy) {
-  ASSERT_EQ(groups.group_count(), legacy.size());
-  const auto& records = repo.records();
+/// The grouping contract of a GroupIndex over a snapshot key column: group
+/// keys strictly ascending, members strictly ascending within a group, every
+/// member's key column (and the record field it was built from) equal to its
+/// group key, and the groups partitioning exactly the in-scope rows.
+void expect_grouping_contract(
+    const GroupIndex& groups, std::span<const std::int32_t> column,
+    const std::vector<bool>& in_scope,
+    const std::function<std::int32_t(std::size_t)>& record_key) {
+  std::vector<int> seen(column.size(), 0);
   std::size_t total = 0;
   for (std::size_t g = 0; g < groups.group_count(); ++g) {
     SCOPED_TRACE(::testing::Message() << "group " << g);
-    EXPECT_EQ(groups.key(g), legacy[g].first);
+    const std::int32_t key = groups.key(g);
+    if (g > 0) EXPECT_LT(groups.key(g - 1), key);
     const auto members = groups.members(g);
-    const auto& view = *legacy[g].second;
-    ASSERT_EQ(members.size(), view.size());
+    EXPECT_FALSE(members.empty());
     for (std::size_t j = 0; j < members.size(); ++j) {
-      EXPECT_EQ(&records[members[j]], view[j]);
-      if (j > 0) EXPECT_LT(members[j - 1], members[j]);
+      const std::uint32_t i = members[j];
+      ASSERT_LT(i, column.size());
+      if (j > 0) EXPECT_LT(members[j - 1], i);
+      EXPECT_EQ(column[i], key);
+      EXPECT_EQ(record_key(i), key);
+      ++seen[i];
     }
-    const auto found = groups.find(legacy[g].first);
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(*found, g);
+    EXPECT_EQ(groups.find(key), std::optional<std::size_t>(g));
     total += members.size();
   }
   EXPECT_EQ(groups.total_members(), total);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], in_scope[i] ? 1 : 0) << "row " << i;
+  }
   EXPECT_FALSE(groups.find(-12345).has_value());
 }
 
-class GroupingEquivalence : public ::testing::TestWithParam<std::size_t> {};
+class GroupingContract : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(GroupingEquivalence, MatchesLegacyMapBuildersOnEveryKey) {
+TEST_P(GroupingContract, PartitionsRowsInKeyOrderOnEveryKey) {
   const ResultRepository repo = repo_of_size(GetParam());
   const ColumnarSnapshot snap = ColumnarSnapshot::build(repo);
   ASSERT_EQ(snap.size(), repo.size());
+  const auto& records = repo.records();
+  const std::vector<bool> all_rows(snap.size(), true);
 
-  {
-    const auto legacy = repo.by_year(YearKey::kHardwareAvailability);
-    LegacyGroups flat;
-    for (const auto& [year, view] : legacy) flat.emplace_back(year, &view);
-    expect_equivalent(repo, GroupIndex::over(snap.hw_year()), flat);
+  expect_grouping_contract(GroupIndex::over(snap.hw_year()), snap.hw_year(),
+                           all_rows,
+                           [&](std::size_t i) { return records[i].hw_year; });
+  expect_grouping_contract(GroupIndex::over(snap.pub_year()), snap.pub_year(),
+                           all_rows,
+                           [&](std::size_t i) { return records[i].pub_year; });
+  expect_grouping_contract(
+      GroupIndex::over(snap.family_id()), snap.family_id(), all_rows,
+      [&](std::size_t i) {
+        return static_cast<std::int32_t>(
+            power::find_uarch(records[i].cpu_codename)->family);
+      });
+  // Codename ids are ranks in the sorted codename list, so ascending-id
+  // group order is lexicographic codename order.
+  const auto& names = snap.codenames();
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  expect_grouping_contract(
+      GroupIndex::over(snap.codename_id()), snap.codename_id(), all_rows,
+      [&](std::size_t i) {
+        const auto it = std::lower_bound(names.begin(), names.end(),
+                                         records[i].cpu_codename);
+        EXPECT_EQ(*it, records[i].cpu_codename);
+        return static_cast<std::int32_t>(it - names.begin());
+      });
+  expect_grouping_contract(GroupIndex::over(snap.nodes()), snap.nodes(),
+                           all_rows,
+                           [&](std::size_t i) { return records[i].nodes; });
+  expect_grouping_contract(
+      GroupIndex::over(snap.mpc_centi()), snap.mpc_centi(), all_rows,
+      [&](std::size_t i) {
+        return ResultRepository::mpc_centi_key(records[i]);
+      });
+
+  std::vector<std::uint8_t> mask(snap.size());
+  std::vector<bool> single_node(snap.size());
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    single_node[i] = records[i].nodes == 1;
+    mask[i] = single_node[i] ? 1 : 0;
   }
-  {
-    const auto legacy = repo.by_year(YearKey::kPublished);
-    LegacyGroups flat;
-    for (const auto& [year, view] : legacy) flat.emplace_back(year, &view);
-    expect_equivalent(repo, GroupIndex::over(snap.pub_year()), flat);
-  }
-  {
-    const auto legacy = repo.by_family();
-    LegacyGroups flat;
-    for (const auto& [family, view] : legacy) {
-      flat.emplace_back(static_cast<std::int32_t>(family), &view);
-    }
-    expect_equivalent(repo, GroupIndex::over(snap.family_id()), flat);
-  }
-  {
-    // Codename ids are interned sorted-ascending, so ascending-id group
-    // order must equal the std::map<std::string> key order.
-    const auto legacy = repo.by_codename();
-    const GroupIndex groups = GroupIndex::over(snap.codename_id());
-    LegacyGroups flat;
-    std::size_t g = 0;
-    for (const auto& [codename, view] : legacy) {
-      ASSERT_LT(g, groups.group_count());
-      EXPECT_EQ(snap.codename_of(groups.key(g)), codename);
-      flat.emplace_back(groups.key(g), &view);
-      ++g;
-    }
-    expect_equivalent(repo, groups, flat);
-  }
-  {
-    const auto legacy = repo.by_nodes();
-    LegacyGroups flat;
-    for (const auto& [nodes, view] : legacy) flat.emplace_back(nodes, &view);
-    expect_equivalent(repo, GroupIndex::over(snap.nodes()), flat);
-  }
-  {
-    const auto legacy = repo.by_memory_per_core();
-    LegacyGroups flat;
-    for (const auto& [centi, view] : legacy) flat.emplace_back(centi, &view);
-    expect_equivalent(repo, GroupIndex::over(snap.mpc_centi()), flat);
-  }
-  {
-    const auto legacy = repo.single_node_by_chips();
-    std::vector<std::uint8_t> mask(snap.size());
-    for (std::size_t i = 0; i < snap.size(); ++i) {
-      mask[i] = snap.nodes()[i] == 1 ? 1 : 0;
-    }
-    LegacyGroups flat;
-    for (const auto& [chips, view] : legacy) flat.emplace_back(chips, &view);
-    expect_equivalent(repo, GroupIndex::over_masked(snap.chips(), mask), flat);
-  }
+  expect_grouping_contract(GroupIndex::over_masked(snap.chips(), mask),
+                           snap.chips(), single_node,
+                           [&](std::size_t i) { return records[i].chips; });
 }
 
-INSTANTIATE_TEST_SUITE_P(Populations, GroupingEquivalence,
+INSTANTIATE_TEST_SUITE_P(Populations, GroupingContract,
                          ::testing::Values(std::size_t{100}, std::size_t{477},
                                            std::size_t{5000}));
 
@@ -184,7 +182,7 @@ TEST(EvaluateBatch, BitIdenticalToPerSlotEvaluate) {
   const auto& base = base_population();
   const std::vector<ServerRecord> fleet(base.begin(), base.begin() + 32);
   const cluster::OptimalRegionPolicy policy;
-  const auto trace = cluster::DemandTrace::diurnal();
+  const auto trace = cluster::make_trace("diurnal").value();
   auto batched = cluster::evaluate_batch(policy, cluster::Fleet::from_records(fleet), trace.demand);
   ASSERT_TRUE(batched.ok());
   ASSERT_EQ(batched.value().size(), trace.demand.size());
@@ -233,22 +231,6 @@ TEST(ColumnarConcurrency, SnapshotAndIndexesBuildOnceUnderContention) {
   const auto stats = ctx.cache_stats();
   EXPECT_EQ(stats.columnar_builds, 1);
   EXPECT_EQ(stats.group_index_builds, 7);
-}
-
-TEST(ColumnarContext, MpcDistributionMatchesRepoOverload) {
-  const ResultRepository repo = repo_of_size(477);
-  const analysis::AnalysisContext ctx(repo);
-  for (const std::size_t min_count : {std::size_t{0}, std::size_t{11}}) {
-    const auto from_repo = analysis::mpc_distribution(repo, min_count);
-    const auto from_ctx = analysis::mpc_distribution(ctx, min_count);
-    ASSERT_EQ(from_repo.size(), from_ctx.size());
-    for (std::size_t i = 0; i < from_repo.size(); ++i) {
-      EXPECT_EQ(from_repo[i].gb_per_core, from_ctx[i].gb_per_core);
-      EXPECT_EQ(from_repo[i].count, from_ctx[i].count);
-      EXPECT_EQ(from_repo[i].mean_ep, from_ctx[i].mean_ep);
-      EXPECT_EQ(from_repo[i].mean_score, from_ctx[i].mean_score);
-    }
-  }
 }
 
 }  // namespace

@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <span>
 
 #include "dataset/calibration.h"
+#include "dataset/columnar.h"
+#include "dataset/group_index.h"
 #include "dataset/repository.h"
 #include "metrics/efficiency.h"
 #include "metrics/proportionality.h"
+#include "power/uarch.h"
 #include "stats/correlation.h"
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
@@ -26,6 +31,60 @@ const ResultRepository& repo() {
     return ResultRepository(std::move(result).take());
   }();
   return instance;
+}
+
+const ColumnarSnapshot& snap() {
+  static const ColumnarSnapshot instance = ColumnarSnapshot::build(repo());
+  return instance;
+}
+
+const GroupIndex& year_groups() {
+  static const GroupIndex instance = GroupIndex::over(snap().hw_year());
+  return instance;
+}
+
+const GroupIndex& node_groups() {
+  static const GroupIndex instance = GroupIndex::over(snap().nodes());
+  return instance;
+}
+
+const GroupIndex& single_node_chip_groups() {
+  static const GroupIndex instance = [] {
+    std::vector<std::uint8_t> single_node(snap().size());
+    for (std::size_t i = 0; i < snap().size(); ++i) {
+      single_node[i] = snap().nodes()[i] == 1 ? 1 : 0;
+    }
+    return GroupIndex::over_masked(snap().chips(), single_node);
+  }();
+  return instance;
+}
+
+const GroupIndex& mpc_groups() {
+  static const GroupIndex instance = GroupIndex::over(snap().mpc_centi());
+  return instance;
+}
+
+/// Record indices of the group with `key` (empty, and a test failure, when
+/// the key is absent).
+std::span<const std::uint32_t> group(const GroupIndex& groups, int key) {
+  const auto g = groups.find(key);
+  if (!g.has_value()) {
+    ADD_FAILURE() << "no group with key " << key;
+    return {};
+  }
+  return groups.members(*g);
+}
+
+/// `column` gathered over the group with `key`, in record order.
+std::vector<double> values_in(const GroupIndex& groups, int key,
+                              std::span<const double> column) {
+  std::vector<double> out;
+  for (const std::uint32_t i : group(groups, key)) out.push_back(column[i]);
+  return out;
+}
+
+std::vector<double> eps_in(const GroupIndex& groups, int key) {
+  return values_in(groups, key, snap().ep());
 }
 
 double ep_of(const ServerRecord& r) {
@@ -83,11 +142,9 @@ TEST(Population, DifferentSeedDiffers) {
 // --- Per-year structure (paper §I / Fig.2) -----------------------------------
 
 TEST(Population, YearCountsMatchPlan) {
-  const auto groups = repo().by_year();
   int total = 0;
   for (const auto& plan : year_plans()) {
-    ASSERT_TRUE(groups.contains(plan.year)) << plan.year;
-    EXPECT_EQ(groups.at(plan.year).size(),
+    EXPECT_EQ(group(year_groups(), plan.year).size(),
               static_cast<std::size_t>(plan.count))
         << plan.year;
     total += plan.count;
@@ -96,9 +153,8 @@ TEST(Population, YearCountsMatchPlan) {
 }
 
 TEST(Population, Year2012Share27Percent) {
-  const auto groups = repo().by_year();
   const double share =
-      static_cast<double>(groups.at(2012).size()) / kTotalServers;
+      static_cast<double>(group(year_groups(), 2012).size()) / kTotalServers;
   EXPECT_NEAR(share, 0.274, 0.01);  // paper §IV.B: 27.4%
 }
 
@@ -114,9 +170,8 @@ class EpTrendByYear : public ::testing::TestWithParam<YearEpTarget> {};
 
 TEST_P(EpTrendByYear, AverageEpNearPaperValue) {
   const auto [year, avg, tolerance] = GetParam();
-  const auto groups = repo().by_year();
-  const auto eps = ResultRepository::ep_values(groups.at(year));
-  EXPECT_NEAR(stats::mean(eps), avg, tolerance) << "year " << year;
+  EXPECT_NEAR(stats::mean(eps_in(year_groups(), year)), avg, tolerance)
+      << "year " << year;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -133,29 +188,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EpTrend, TwoStepJumps20082009And20112012) {
   // Paper §III.A: the two microarchitecture "tock" jumps.
-  const auto groups = repo().by_year();
-  const double avg2008 =
-      stats::mean(ResultRepository::ep_values(groups.at(2008)));
-  const double avg2009 =
-      stats::mean(ResultRepository::ep_values(groups.at(2009)));
-  const double avg2011 =
-      stats::mean(ResultRepository::ep_values(groups.at(2011)));
-  const double avg2012 =
-      stats::mean(ResultRepository::ep_values(groups.at(2012)));
+  const double avg2008 = stats::mean(eps_in(year_groups(), 2008));
+  const double avg2009 = stats::mean(eps_in(year_groups(), 2009));
+  const double avg2011 = stats::mean(eps_in(year_groups(), 2011));
+  const double avg2012 = stats::mean(eps_in(year_groups(), 2012));
   EXPECT_GT((avg2009 - avg2008) / avg2008, 0.35);  // paper: +48.65%
   EXPECT_GT((avg2012 - avg2011) / avg2011, 0.18);  // paper: +24.24%
 }
 
 TEST(EpTrend, DipIn2013And2014ThenRecovery) {
-  const auto groups = repo().by_year();
-  const double avg2012 =
-      stats::mean(ResultRepository::ep_values(groups.at(2012)));
-  const double avg2013 =
-      stats::mean(ResultRepository::ep_values(groups.at(2013)));
-  const double avg2014 =
-      stats::mean(ResultRepository::ep_values(groups.at(2014)));
-  const double avg2016 =
-      stats::mean(ResultRepository::ep_values(groups.at(2016)));
+  const double avg2012 = stats::mean(eps_in(year_groups(), 2012));
+  const double avg2013 = stats::mean(eps_in(year_groups(), 2013));
+  const double avg2014 = stats::mean(eps_in(year_groups(), 2014));
+  const double avg2016 = stats::mean(eps_in(year_groups(), 2016));
   EXPECT_LT(avg2013, avg2012);
   EXPECT_LT(avg2014, avg2012);
   EXPECT_GT(avg2016, avg2013);
@@ -163,11 +208,8 @@ TEST(EpTrend, DipIn2013And2014ThenRecovery) {
 
 TEST(EpTrend, Median2014AboveMedian2013) {
   // Paper §III.A: despite the outlier, the 2014 median still rises.
-  const auto groups = repo().by_year();
-  const double med2013 =
-      stats::median(ResultRepository::ep_values(groups.at(2013)));
-  const double med2014 =
-      stats::median(ResultRepository::ep_values(groups.at(2014)));
+  const double med2013 = stats::median(eps_in(year_groups(), 2013));
+  const double med2014 = stats::median(eps_in(year_groups(), 2014));
   EXPECT_GT(med2014, med2013);
 }
 
@@ -192,19 +234,19 @@ TEST(EpTrend, GlobalExtremaMatchPaper) {
 }
 
 TEST(EpTrend, Minimum2016EpIs073) {
-  const auto groups = repo().by_year();
-  const auto eps = ResultRepository::ep_values(groups.at(2016));
+  const auto eps = eps_in(year_groups(), 2016);
   EXPECT_NEAR(*std::min_element(eps.begin(), eps.end()), 0.73, 0.01);
 }
 
 // --- EE trend (Fig.4) ---------------------------------------------------------
 
 TEST(EeTrend, OverallScoreRisesMonotonicallyInYearAverages) {
-  const auto groups = repo().by_year();
   double prev = 0.0;
-  for (const auto& [year, view] : groups) {
+  for (std::size_t g = 0; g < year_groups().group_count(); ++g) {
+    const int year = year_groups().key(g);
     if (year == 2014) continue;  // the paper's outlier year dents the average
-    const double avg = stats::mean(ResultRepository::score_values(view));
+    const double avg =
+        stats::mean(values_in(year_groups(), year, snap().overall_score()));
     EXPECT_GT(avg, prev) << "year " << year;
     prev = avg;
   }
@@ -367,40 +409,33 @@ TEST(PeakShift, DualPeakServerExistsIn2011) {
 // --- Topology (Fig.13/14) -------------------------------------------------------
 
 TEST(Topology, NodeCountsMatchPlan) {
-  const auto groups = repo().by_nodes();
-  EXPECT_EQ(groups.at(1).size(), 403u);
-  EXPECT_EQ(groups.at(2).size(), 40u);
-  EXPECT_EQ(groups.at(4).size(), 24u);
-  EXPECT_EQ(groups.at(8).size(), 4u);
-  EXPECT_EQ(groups.at(16).size(), 6u);
+  EXPECT_EQ(group(node_groups(), 1).size(), 403u);
+  EXPECT_EQ(group(node_groups(), 2).size(), 40u);
+  EXPECT_EQ(group(node_groups(), 4).size(), 24u);
+  EXPECT_EQ(group(node_groups(), 8).size(), 4u);
+  EXPECT_EQ(group(node_groups(), 16).size(), 6u);
 }
 
 TEST(Topology, SingleNodeChipCountsMatchFig14) {
-  const auto groups = repo().single_node_by_chips();
-  EXPECT_EQ(groups.at(1).size(), 77u);
-  EXPECT_EQ(groups.at(2).size(), 284u);
-  EXPECT_EQ(groups.at(4).size(), 36u);
-  EXPECT_EQ(groups.at(8).size(), 6u);
+  EXPECT_EQ(group(single_node_chip_groups(), 1).size(), 77u);
+  EXPECT_EQ(group(single_node_chip_groups(), 2).size(), 284u);
+  EXPECT_EQ(group(single_node_chip_groups(), 4).size(), 36u);
+  EXPECT_EQ(group(single_node_chip_groups(), 8).size(), 6u);
 }
 
 TEST(Topology, MedianEpRisesWithNodeCount) {
-  const auto groups = repo().by_nodes();
-  const double med2 =
-      stats::median(ResultRepository::ep_values(groups.at(2)));
-  const double med4 =
-      stats::median(ResultRepository::ep_values(groups.at(4)));
-  const double med16 =
-      stats::median(ResultRepository::ep_values(groups.at(16)));
+  const double med2 = stats::median(eps_in(node_groups(), 2));
+  const double med4 = stats::median(eps_in(node_groups(), 4));
+  const double med16 = stats::median(eps_in(node_groups(), 16));
   EXPECT_LT(med2, med4);
   EXPECT_LT(med4, med16);
 }
 
 TEST(Topology, TwoChipSingleNodeServersLeadOnAverageEp) {
-  const auto groups = repo().single_node_by_chips();
-  const double avg1 = stats::mean(ResultRepository::ep_values(groups.at(1)));
-  const double avg2 = stats::mean(ResultRepository::ep_values(groups.at(2)));
-  const double avg4 = stats::mean(ResultRepository::ep_values(groups.at(4)));
-  const double avg8 = stats::mean(ResultRepository::ep_values(groups.at(8)));
+  const double avg1 = stats::mean(eps_in(single_node_chip_groups(), 1));
+  const double avg2 = stats::mean(eps_in(single_node_chip_groups(), 2));
+  const double avg4 = stats::mean(eps_in(single_node_chip_groups(), 4));
+  const double avg8 = stats::mean(eps_in(single_node_chip_groups(), 8));
   EXPECT_GT(avg2, avg1);
   EXPECT_GT(avg2, avg4);
   EXPECT_GT(avg4, avg8);  // monotone decline beyond 2 chips (paper §III.E)
@@ -410,21 +445,19 @@ TEST(Topology, TwoChipSingleNodeServersLeadOnAverageEp) {
 
 TEST(MemoryPerCore, TableIQuotasReproduced) {
   // Keys are integer centi-GB-per-core: 67 == 0.67 GB/core.
-  const auto groups = repo().by_memory_per_core();
-  EXPECT_EQ(groups.at(67).size(), 15u);
-  EXPECT_EQ(groups.at(100).size(), 153u);
-  EXPECT_EQ(groups.at(133).size(), 32u);
-  EXPECT_EQ(groups.at(150).size(), 68u);
-  EXPECT_EQ(groups.at(178).size(), 13u);
-  EXPECT_EQ(groups.at(200).size(), 123u);
-  EXPECT_EQ(groups.at(400).size(), 26u);
+  EXPECT_EQ(group(mpc_groups(), 67).size(), 15u);
+  EXPECT_EQ(group(mpc_groups(), 100).size(), 153u);
+  EXPECT_EQ(group(mpc_groups(), 133).size(), 32u);
+  EXPECT_EQ(group(mpc_groups(), 150).size(), 68u);
+  EXPECT_EQ(group(mpc_groups(), 178).size(), 13u);
+  EXPECT_EQ(group(mpc_groups(), 200).size(), 123u);
+  EXPECT_EQ(group(mpc_groups(), 400).size(), 26u);
 }
 
 TEST(MemoryPerCore, TableICoversAtLeast430Servers) {
-  const auto groups = repo().by_memory_per_core();
   std::size_t covered = 0;
   for (const int mpc_centi : {67, 100, 133, 150, 178, 200, 400}) {
-    covered += groups.at(mpc_centi).size();
+    covered += group(mpc_groups(), mpc_centi).size();
   }
   EXPECT_EQ(covered, 430u);
 }

@@ -3,16 +3,26 @@
 // seed, not just the default one — they are plan-enforced, not sampled.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include "dataset/calibration.h"
+#include "dataset/columnar.h"
 #include "dataset/generator.h"
+#include "dataset/group_index.h"
 #include "dataset/repository.h"
 #include "metrics/efficiency.h"
 #include "metrics/proportionality.h"
 
 namespace epserve::dataset {
 namespace {
+
+/// Size of the group with `key` (0 when absent).
+std::size_t group_size(const GroupIndex& groups, int key) {
+  const auto g = groups.find(key);
+  return g.has_value() ? groups.members(*g).size() : 0;
+}
 
 class MultiSeedQuotas : public ::testing::TestWithParam<std::uint64_t> {
  protected:
@@ -34,35 +44,40 @@ class MultiSeedQuotas : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(MultiSeedQuotas, TotalAndYearCounts) {
   const auto& repo = repo_for(GetParam());
   EXPECT_EQ(repo.size(), static_cast<std::size_t>(kTotalServers));
-  const auto by_year = repo.by_year();
+  const auto years = GroupIndex::over(ColumnarSnapshot::build(repo).hw_year());
   for (const auto& plan : year_plans()) {
-    EXPECT_EQ(by_year.at(plan.year).size(),
+    EXPECT_EQ(group_size(years, plan.year),
               static_cast<std::size_t>(plan.count));
   }
 }
 
 TEST_P(MultiSeedQuotas, TopologyQuotas) {
   const auto& repo = repo_for(GetParam());
-  const auto nodes = repo.by_nodes();
-  EXPECT_EQ(nodes.at(1).size(), 403u);
-  EXPECT_EQ(nodes.at(2).size(), 40u);
-  EXPECT_EQ(nodes.at(4).size(), 24u);
-  EXPECT_EQ(nodes.at(8).size(), 4u);
-  EXPECT_EQ(nodes.at(16).size(), 6u);
-  const auto chips = repo.single_node_by_chips();
-  EXPECT_EQ(chips.at(1).size(), 77u);
-  EXPECT_EQ(chips.at(2).size(), 284u);
-  EXPECT_EQ(chips.at(4).size(), 36u);
-  EXPECT_EQ(chips.at(8).size(), 6u);
+  const auto snap = ColumnarSnapshot::build(repo);
+  const auto nodes = GroupIndex::over(snap.nodes());
+  EXPECT_EQ(group_size(nodes, 1), 403u);
+  EXPECT_EQ(group_size(nodes, 2), 40u);
+  EXPECT_EQ(group_size(nodes, 4), 24u);
+  EXPECT_EQ(group_size(nodes, 8), 4u);
+  EXPECT_EQ(group_size(nodes, 16), 6u);
+  std::vector<std::uint8_t> single_node(snap.size());
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    single_node[i] = snap.nodes()[i] == 1 ? 1 : 0;
+  }
+  const auto chips = GroupIndex::over_masked(snap.chips(), single_node);
+  EXPECT_EQ(group_size(chips, 1), 77u);
+  EXPECT_EQ(group_size(chips, 2), 284u);
+  EXPECT_EQ(group_size(chips, 4), 36u);
+  EXPECT_EQ(group_size(chips, 8), 6u);
 }
 
 TEST_P(MultiSeedQuotas, TableIQuotas) {
   const auto& repo = repo_for(GetParam());
-  const auto mpc = repo.by_memory_per_core();
-  EXPECT_EQ(mpc.at(100).size(), 153u);
-  EXPECT_EQ(mpc.at(150).size(), 68u);
-  EXPECT_EQ(mpc.at(200).size(), 123u);
-  EXPECT_EQ(mpc.at(400).size(), 26u);
+  const auto mpc = GroupIndex::over(ColumnarSnapshot::build(repo).mpc_centi());
+  EXPECT_EQ(group_size(mpc, 100), 153u);
+  EXPECT_EQ(group_size(mpc, 150), 68u);
+  EXPECT_EQ(group_size(mpc, 200), 123u);
+  EXPECT_EQ(group_size(mpc, 400), 26u);
 }
 
 TEST_P(MultiSeedQuotas, PeakSpotQuotasAndDualPeak) {

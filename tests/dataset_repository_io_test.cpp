@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 
+#include "dataset/columnar.h"
 #include "dataset/generator.h"
+#include "dataset/group_index.h"
 #include "dataset/io.h"
 #include "dataset/repository.h"
 #include "metrics/proportionality.h"
@@ -21,6 +25,11 @@ const ResultRepository& repo() {
   return instance;
 }
 
+const ColumnarSnapshot& snap() {
+  static const ColumnarSnapshot instance = ColumnarSnapshot::build(repo());
+  return instance;
+}
+
 TEST(Repository, AllReturnsEverything) {
   EXPECT_EQ(repo().all().size(), repo().size());
 }
@@ -33,32 +42,45 @@ TEST(Repository, WhereFilters) {
 }
 
 TEST(Repository, ByYearKeysDiffer) {
-  const auto by_hw = repo().by_year(YearKey::kHardwareAvailability);
-  const auto by_pub = repo().by_year(YearKey::kPublished);
+  const auto by_hw = GroupIndex::over(snap().hw_year());
+  const auto by_pub = GroupIndex::over(snap().pub_year());
   // Published-year grouping must not contain pre-2007 keys.
-  EXPECT_TRUE(by_hw.contains(2004));
-  EXPECT_FALSE(by_pub.contains(2004));
+  EXPECT_TRUE(by_hw.find(2004).has_value());
+  EXPECT_FALSE(by_pub.find(2004).has_value());
 }
 
 TEST(Repository, ByFamilyCoversAllRecords) {
+  const auto groups = GroupIndex::over(snap().family_id());
   std::size_t total = 0;
-  for (const auto& [family, view] : repo().by_family()) total += view.size();
+  for (std::size_t g = 0; g < groups.group_count(); ++g) {
+    EXPECT_GE(groups.key(g), 0);  // every codename resolves to a family
+    total += groups.members(g).size();
+  }
   EXPECT_EQ(total, repo().size());
 }
 
 TEST(Repository, ByCodenameGroupsAreDisjointAndComplete) {
+  const auto groups = GroupIndex::over(snap().codename_id());
   std::size_t total = 0;
-  for (const auto& [name, view] : repo().by_codename()) {
-    for (const auto* r : view) EXPECT_EQ(r->cpu_codename, name);
-    total += view.size();
+  for (std::size_t g = 0; g < groups.group_count(); ++g) {
+    const auto name = snap().codename_of(groups.key(g));
+    for (const std::uint32_t i : groups.members(g)) {
+      EXPECT_EQ(repo().records()[i].cpu_codename, name);
+    }
+    total += groups.members(g).size();
   }
   EXPECT_EQ(total, repo().size());
 }
 
 TEST(Repository, SandyBridgeEnHas22Servers) {
-  const auto groups = repo().by_codename();
   // Paper §III.B: "the 22 servers of Sandy Bridge EN microarchitecture".
-  EXPECT_EQ(groups.at("Sandy Bridge EN").size(), 22u);
+  const auto& names = snap().codenames();
+  const auto id = std::find(names.begin(), names.end(), "Sandy Bridge EN");
+  ASSERT_NE(id, names.end());
+  const auto groups = GroupIndex::over(snap().codename_id());
+  const auto g = groups.find(static_cast<std::int32_t>(id - names.begin()));
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(groups.members(*g).size(), 22u);
 }
 
 TEST(Repository, MetricExtraction) {
@@ -71,9 +93,8 @@ TEST(Repository, MetricExtraction) {
 }
 
 TEST(Repository, TopDecileSizeAndOrdering) {
-  const auto top = repo().top_decile([](const ServerRecord& r) {
-    return metrics::energy_proportionality(r.curve);
-  });
+  const auto top =
+      repo().top_decile_by(ResultRepository::ep_values(repo().all()));
   EXPECT_EQ(top.size(), 48u);  // ceil(477 * 0.1)
   const double boundary = metrics::energy_proportionality(top.back()->curve);
   // Everyone outside the decile must not exceed the boundary value.

@@ -84,8 +84,8 @@ TEST(ExpGate, TelemetryCountersAreExact) {
 
 TEST(ExpGateSuite, GatingBenchRosterIsStable) {
   const auto benches = exp::gating_benches();
-  ASSERT_EQ(benches.size(), 7u);
-  EXPECT_EQ(benches.front(), "bench_columnar_groupby");
+  ASSERT_EQ(benches.size(), 6u);
+  EXPECT_EQ(benches.front(), "bench_report_cache");
   EXPECT_EQ(benches.back(), "bench_population_scale");
 }
 
@@ -105,7 +105,7 @@ TEST(ExpGateSuite, MissingBinaryIsNotFound) {
   options.build_dir = "/nonexistent-build-dir";
   auto status = exp::run_gate_suite(options);
   ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.error().message.find("bench_columnar_groupby"),
+  EXPECT_NE(status.error().message.find("bench_report_cache"),
             std::string::npos);
 }
 

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
 #include "dataset/generator.h"
+#include "dataset/io.h"
 #include "dataset/validation.h"
 #include "metrics/model_fit.h"
 #include "metrics/proportionality.h"
@@ -104,6 +109,31 @@ TEST(Validation, CatchesImplausibleYearsAndTopology) {
   records[2].pub_year = records[2].hw_year - 3;  // published long before hw
   const auto report = dataset::validate_population(records);
   EXPECT_GE(report.issues.size(), 3u);
+}
+
+TEST(Validation, CoreCountOverflowIsNamedNotComputed) {
+  // nodes * chips * cores_per_chip = 1e10 * cores_per_chip overflows int.
+  auto population = dataset::generate_population();
+  ASSERT_TRUE(population.ok());
+  auto doc = dataset::to_csv_document({population.value().front()});
+  const auto column = [&](const std::string& name) {
+    const auto it = std::find(doc.header.begin(), doc.header.end(), name);
+    EXPECT_NE(it, doc.header.end()) << name;
+    return static_cast<std::size_t>(it - doc.header.begin());
+  };
+  doc.rows[0][column("nodes")] = "100000";
+  doc.rows[0][column("chips")] = "100000";
+  const auto loaded = dataset::from_csv_document(doc);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  EXPECT_EQ(loaded.value().front().total_cores(),
+            std::int64_t{10'000'000'000} *
+                loaded.value().front().cores_per_chip);
+
+  const auto report = dataset::validate_population(loaded.value());
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues.front().message.rfind("core count overflows", 0),
+            0u)
+      << report.issues.front().message;
 }
 
 TEST(Validation, EmptyPopulationIsAnIssue) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/context.h"
 #include "analysis/counterfactual.h"
 #include "dataset/generator.h"
 #include "power/thermal.h"
@@ -105,8 +106,14 @@ const dataset::ResultRepository& repo() {
   return instance;
 }
 
+/// The shared analysis context over repo().
+const analysis::AnalysisContext& ctx() {
+  static const analysis::AnalysisContext instance(repo());
+  return instance;
+}
+
 TEST(Counterfactual, FrozenMixRemovesTheDip) {
-  const auto result = analysis::frozen_mix_counterfactual(repo());
+  const auto result = analysis::frozen_mix_counterfactual(ctx());
   ASSERT_TRUE(result.ok()) << result.error().message;
   EXPECT_TRUE(result.value().dip_removed);
   // The actual trend DOES dip (sanity that the test is meaningful).
@@ -120,7 +127,7 @@ TEST(Counterfactual, FrozenMixRemovesTheDip) {
 
 TEST(Counterfactual, RowsCoverRequestedYears) {
   const auto result =
-      analysis::frozen_mix_counterfactual(repo(), "Sandy Bridge EP", 2012,
+      analysis::frozen_mix_counterfactual(ctx(), "Sandy Bridge EP", 2012,
                                           2016);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().rows.size(), 5u);
@@ -130,17 +137,17 @@ TEST(Counterfactual, RowsCoverRequestedYears) {
 
 TEST(Counterfactual, UnknownReferenceFails) {
   EXPECT_FALSE(
-      analysis::frozen_mix_counterfactual(repo(), "Zen 7").ok());
+      analysis::frozen_mix_counterfactual(ctx(), "Zen 7").ok());
 }
 
 TEST(Counterfactual, InvertedRangeFails) {
-  EXPECT_FALSE(analysis::frozen_mix_counterfactual(repo(), "Sandy Bridge EP",
+  EXPECT_FALSE(analysis::frozen_mix_counterfactual(ctx(), "Sandy Bridge EP",
                                                    2016, 2012)
                    .ok());
 }
 
 TEST(Counterfactual, EmptyRangeFails) {
-  EXPECT_FALSE(analysis::frozen_mix_counterfactual(repo(), "Sandy Bridge EP",
+  EXPECT_FALSE(analysis::frozen_mix_counterfactual(ctx(), "Sandy Bridge EP",
                                                    1990, 1999)
                    .ok());
 }
