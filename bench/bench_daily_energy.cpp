@@ -25,7 +25,13 @@ int main() {
                                                 trace.demand.end()), 0)
             << "\n\n";
 
-  const auto results = cluster::compare_policies_over_day(cluster::Fleet::from_records(fleet), trace);
+  const auto handle = cluster::Fleet::build(fleet);
+  if (!handle.ok()) {
+    std::fprintf(stderr, "%s\n", handle.error().message.c_str());
+    return 1;
+  }
+  const auto results =
+      cluster::compare_policies_over_day(handle.value(), trace);
   if (!results.ok()) {
     std::fprintf(stderr, "%s\n", results.error().message.c_str());
     return 1;

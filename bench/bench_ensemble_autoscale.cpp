@@ -28,9 +28,12 @@ int main() {
             << format_fixed(mean_ep, 2) << "\n\n";
 
   const auto trace = cluster::make_trace({"diurnal", 0.2, 0.4}).value();
-  const auto always_on = cluster::compare_policies_over_day(cluster::Fleet::from_records(fleet), trace);
+  const auto handle = cluster::Fleet::build(fleet);
+  if (!handle.ok()) return 1;
+  const auto always_on =
+      cluster::compare_policies_over_day(handle.value(), trace);
   if (!always_on.ok()) return 1;
-  const auto scaled = cluster::autoscale_over_day(cluster::Fleet::from_records(fleet), trace);
+  const auto scaled = cluster::autoscale_over_day(handle.value(), trace);
   if (!scaled.ok()) return 1;
 
   TextTable table;

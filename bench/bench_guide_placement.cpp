@@ -23,7 +23,12 @@ int main() {
   }
 
   // One record->Fleet conversion at the boundary, shared by every section.
-  const auto handle = cluster::Fleet::from_records(fleet);
+  const auto built = cluster::Fleet::build(fleet);
+  if (!built.ok()) {
+    std::fprintf(stderr, "%s\n", built.error().message.c_str());
+    return 1;
+  }
+  const cluster::Fleet& handle = built.value();
 
   const cluster::PackToFullPolicy pack;
   const cluster::BalancedPolicy balanced;

@@ -61,7 +61,13 @@ int main() {
       "4 traces x 4 policies on a 5000-server fleet, one shared Fleet");
 
   const auto records = make_fleet(kFleetSize);
-  const auto fleet = cluster::Fleet::from_records(records);
+  const auto built = cluster::Fleet::build(records);
+  if (!built.ok()) {
+    std::fprintf(stderr, "fleet build failed: %s\n",
+                 built.error().message.c_str());
+    return 1;
+  }
+  const cluster::Fleet& fleet = built.value();
 
   const auto run_with_threads = [&](int threads) {
     cluster::MatrixOptions options;

@@ -11,7 +11,6 @@ namespace epserve::cluster {
 Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
                                            const DemandTrace& trace,
                                            const AutoscalerConfig& config) {
-  if (fleet.empty()) return Error::invalid_argument("fleet is empty");
   if (trace.demand.empty()) return Error::invalid_argument("trace is empty");
   if (!(trace.slot_hours > 0.0)) {
     return Error::invalid_argument("slot length must be positive");

@@ -45,7 +45,7 @@ struct AutoscaleResult {
 /// demand, each active machine at min(1, demand_ops / active_capacity).
 /// Power is accounted server-major through the fleet's cached interpolation
 /// tables: one batched evaluation per server covers every slot it is active
-/// in. Fails on an empty fleet or trace, or an out-of-range target.
+/// in. Fails on an empty trace or an out-of-range target.
 epserve::Result<AutoscaleResult> autoscale_over_day(
     const Fleet& fleet, const DemandTrace& trace,
     const AutoscalerConfig& config = {});

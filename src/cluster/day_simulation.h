@@ -38,8 +38,8 @@ struct DayResult {
 
 /// Runs the trace under a policy against a prebuilt Fleet — the whole day is
 /// one evaluate_batch over the fleet's cached tables, recorded under the
-/// `cluster/policy/<name>` root telemetry span. Fails on empty fleet/trace
-/// or demand outside [0, 1].
+/// `cluster/policy/<name>` root telemetry span. Fails on an empty trace or
+/// demand outside [0, 1].
 ///
 /// With a non-trivial IdleModel, a parked server (exact utilisation 0.0)
 /// occupies the deepest state allowed by trace.idle_state_cap(slot): its

@@ -17,111 +17,93 @@ namespace {
 constexpr std::size_t kRowBins =
     static_cast<std::size_t>(metrics::kernels::FleetGridView::kRowBins);
 
-/// Appends one server's native-resolution grid row: the interpolation
-/// table's own knot watts and slopes, copied bit-for-bit, so grid evaluation
-/// and the knot walk run the identical expression on identical inputs.
-void append_grid_row(util::AlignedVector<double>& w0,
-                     util::AlignedVector<double>& m,
-                     util::AlignedVector<double>& inv_peak,
-                     const metrics::PowerCurve::InterpolationTable& table) {
-  for (std::size_t seg = 0; seg < kRowBins; ++seg) {
-    w0.push_back(table.knot_watts[seg]);
-    m.push_back(table.slope[seg]);
-  }
-  inv_peak.push_back(table.inv_peak);
-}
-
-}  // namespace
-
-Fleet Fleet::make(std::span<const dataset::ServerRecord> servers) {
-  telemetry::Span span("fleet.build");
-  telemetry::count("fleet.builds");
-  telemetry::count("fleet.servers", servers.size());
-
-  Fleet fleet;
-  fleet.servers_ = servers;
-  fleet.snapshot_ = dataset::ColumnarSnapshot::build(servers);
-  fleet.ids_.reserve(servers.size());
-  fleet.tables_.reserve(servers.size());
-  fleet.ee_at_full_.reserve(servers.size());
-  fleet.grid_w0_.reserve(servers.size() * kRowBins);
-  fleet.grid_m_.reserve(servers.size() * kRowBins);
-  fleet.grid_inv_peak_.reserve(servers.size());
+/// Fails with "server N: ..." on the first record whose curve fails
+/// PowerCurve::validate() — the error surface build() and Builder share.
+epserve::Result<bool> validate_curves(
+    std::span<const dataset::ServerRecord> servers) {
   for (const auto& server : servers) {
-    fleet.ids_.push_back(server.id);
-    fleet.tables_.push_back(server.curve.interpolation_table());
-    append_grid_row(fleet.grid_w0_, fleet.grid_m_, fleet.grid_inv_peak_,
-                    fleet.tables_.back());
-    fleet.ee_at_full_.push_back(
-        metrics::ee_at_level(server.curve, metrics::kNumLoadLevels - 1));
-    fleet.capacity_ops_ += server.curve.peak_ops();
-    fleet.total_idle_watts_ += server.curve.idle_watts();
-  }
-  return fleet;
-}
-
-epserve::Result<bool> Fleet::Builder::append(
-    std::span<const dataset::ServerRecord> chunk) {
-  for (const auto& server : chunk) {
     if (auto valid = server.curve.validate(); !valid.ok()) {
       return Error{valid.error().code, "server " + std::to_string(server.id) +
                                            ": " + valid.error().message};
     }
+  }
+  return true;
+}
+
+/// The one exit from fleet assembly: rejects an empty fleet, then runs
+/// `assemble` under the `fleet.build` span and counts the fleet.
+template <typename Assemble>
+epserve::Result<Fleet> finish_assembly(std::size_t servers,
+                                       Assemble&& assemble) {
+  if (servers == 0) {
+    return Error::invalid_argument("fleet is empty");
+  }
+  telemetry::Span span("fleet.build");
+  telemetry::count("fleet.builds");
+  telemetry::count("fleet.servers", servers);
+  return assemble();
+}
+
+}  // namespace
+
+void Fleet::append_row(const dataset::ServerRecord& server) {
+  ids_.push_back(server.id);
+  tables_.push_back(server.curve.interpolation_table());
+  // The grid row is the table's own knot watts and slopes, copied
+  // bit-for-bit, so grid evaluation and the knot walk run the identical
+  // expression on identical inputs.
+  const auto& table = tables_.back();
+  for (std::size_t seg = 0; seg < kRowBins; ++seg) {
+    grid_w0_.push_back(table.knot_watts[seg]);
+    grid_m_.push_back(table.slope[seg]);
+  }
+  grid_inv_peak_.push_back(table.inv_peak);
+  ee_at_full_.push_back(
+      metrics::ee_at_level(server.curve, metrics::kNumLoadLevels - 1));
+  capacity_ops_ += server.curve.peak_ops();
+  total_idle_watts_ += server.curve.idle_watts();
+}
+
+epserve::Result<Fleet> Fleet::build(
+    std::span<const dataset::ServerRecord> servers) {
+  if (auto valid = validate_curves(servers); !valid.ok()) {
+    return valid.error();
+  }
+  return finish_assembly(servers.size(), [servers] {
+    Fleet fleet;
+    fleet.servers_ = servers;
+    fleet.snapshot_ = dataset::ColumnarSnapshot::build(servers);
+    fleet.ids_.reserve(servers.size());
+    fleet.tables_.reserve(servers.size());
+    fleet.ee_at_full_.reserve(servers.size());
+    fleet.grid_w0_.reserve(servers.size() * kRowBins);
+    fleet.grid_m_.reserve(servers.size() * kRowBins);
+    fleet.grid_inv_peak_.reserve(servers.size());
+    for (const auto& server : servers) fleet.append_row(server);
+    return fleet;
+  });
+}
+
+epserve::Result<bool> Fleet::Builder::append(
+    std::span<const dataset::ServerRecord> chunk) {
+  if (auto valid = validate_curves(chunk); !valid.ok()) {
+    return valid.error();
   }
   if (auto appended = snapshot_builder_.append(chunk); !appended.ok()) {
     return appended.error();
   }
   for (const auto& server : chunk) {
-    ids_.push_back(server.id);
-    curves_.push_back(server.curve);
-    tables_.push_back(server.curve.interpolation_table());
-    append_grid_row(grid_w0_, grid_m_, grid_inv_peak_, tables_.back());
-    ee_at_full_.push_back(
-        metrics::ee_at_level(server.curve, metrics::kNumLoadLevels - 1));
-    capacity_ops_ += server.curve.peak_ops();
-    total_idle_watts_ += server.curve.idle_watts();
+    fleet_.curves_.push_back(server.curve);
+    fleet_.append_row(server);
   }
   return true;
 }
 
 epserve::Result<Fleet> Fleet::Builder::finish() {
-  if (ids_.empty()) {
-    return Error::invalid_argument("fleet is empty");
-  }
-  telemetry::Span span("fleet.build");
-  telemetry::count("fleet.builds");
-  telemetry::count("fleet.servers", ids_.size());
-
-  Fleet fleet;
-  fleet.snapshot_ = snapshot_builder_.finish();
-  fleet.ids_ = std::move(ids_);
-  fleet.curves_ = std::move(curves_);
-  fleet.tables_ = std::move(tables_);
-  fleet.ee_at_full_ = std::move(ee_at_full_);
-  fleet.grid_w0_ = std::move(grid_w0_);
-  fleet.grid_m_ = std::move(grid_m_);
-  fleet.grid_inv_peak_ = std::move(grid_inv_peak_);
-  fleet.capacity_ops_ = capacity_ops_;
-  fleet.total_idle_watts_ = total_idle_watts_;
-  return fleet;
-}
-
-epserve::Result<Fleet> Fleet::build(
-    std::span<const dataset::ServerRecord> servers) {
-  if (servers.empty()) {
-    return Error::invalid_argument("fleet is empty");
-  }
-  for (const auto& server : servers) {
-    if (auto valid = server.curve.validate(); !valid.ok()) {
-      return Error{valid.error().code, "server " + std::to_string(server.id) +
-                                           ": " + valid.error().message};
-    }
-  }
-  return make(servers);
-}
-
-Fleet Fleet::from_records(std::span<const dataset::ServerRecord> servers) {
-  return make(servers);
+  return finish_assembly(fleet_.size(), [this] {
+    fleet_.snapshot_ = snapshot_builder_.finish();
+    return std::move(fleet_);
+  });
 }
 
 metrics::kernels::FleetGridView Fleet::grid_view() const {
@@ -226,11 +208,6 @@ std::uint64_t Fleet::digest() const {
   mix_column(idle_watts());
   mix_column(ep());
   return hash;
-}
-
-const epserve::Result<Fleet>& LazyFleet::get() const {
-  std::call_once(once_, [this] { fleet_.emplace(Fleet::build(servers_)); });
-  return *fleet_;
 }
 
 }  // namespace epserve::cluster

@@ -17,13 +17,17 @@
 // Fleet is byte-identical to the legacy record-at-a-time path (pinned by
 // tests/cluster_fleet_test.cpp at fleet sizes 1/100/5000, 1 and 8 threads).
 //
-// Lifetime: a Fleet *views* the caller's records (like AnalysisContext views
-// its repository) — it must not outlive the vector it was built from.
+// Construction: build() and Builder are the only ways to make a Fleet, and
+// both validate, so every Fleet is non-empty and every curve passed
+// PowerCurve::validate(); consumers need no empty-fleet or curve checks of
+// their own. The two share one per-row assembly routine.
+//
+// Lifetime: a build() fleet *views* the caller's records (like
+// AnalysisContext views its repository) — it must not outlive the vector it
+// was built from. A Builder fleet owns its curve column instead.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,83 +42,28 @@ namespace epserve::cluster {
 
 class Fleet {
  public:
-  /// Validated build: fails on an empty fleet ("fleet is empty", the same
-  /// message the legacy entry points return) or on any record whose
-  /// measurement sheet fails PowerCurve::validate(). Emits a `fleet.build`
-  /// telemetry span and bumps the `fleet.builds` counter.
+  /// Validated build: fails on an empty fleet ("fleet is empty") or on the
+  /// first record whose measurement sheet fails PowerCurve::validate()
+  /// ("server N: ..."). Views `servers` without copying their curves.
+  /// Emits a `fleet.build` telemetry span and bumps the `fleet.builds`
+  /// counter.
   static epserve::Result<Fleet> build(
       std::span<const dataset::ServerRecord> servers);
 
-  /// Unvalidated adapter at the record/Fleet call boundary: wraps a record
-  /// vector without curve validation, preserving the error surfaces of the
-  /// pre-Fleet scalar paths (which never validated curves — evaluation
-  /// still fails on an empty fleet or bad demand exactly as before).
-  /// Every cluster entry point takes `const Fleet&` only; callers holding
-  /// records convert once here. Prefer build() for untrusted input.
-  static Fleet from_records(std::span<const dataset::ServerRecord> servers);
+  /// Streaming fleet assembly (defined below).
+  class Builder;
 
-  /// Streaming fleet assembly for chunk-emitting generators
-  /// (dataset::generate_population_chunked): append record chunks, then
-  /// finish() into a fleet that OWNS its id and curve columns instead of
-  /// viewing caller records. A streamed fleet never materializes a full
-  /// vector<ServerRecord>; records() is empty on it, so consumers use
-  /// server_id()/curve() (every placement/day-sim path does). digest() is
-  /// byte-identical to a monolithic build() of the same records at any
-  /// chunk size (pinned by tests/cluster_fleet_stream_test.cpp).
-  class Builder {
-   public:
-    Builder() = default;
-
-    /// Validates and appends one chunk; fails on the first bad curve with
-    /// the same "server N: ..." error build() produces (nothing from the
-    /// failing chunk is appended).
-    epserve::Result<bool> append(std::span<const dataset::ServerRecord> chunk);
-
-    [[nodiscard]] std::uint64_t rows() const { return ids_.size(); }
-
-    /// Finishes the fleet ("fleet is empty" when nothing was appended).
-    /// The builder must not be reused afterwards.
-    epserve::Result<Fleet> finish();
-
-   private:
-    dataset::ColumnarSnapshot::Builder snapshot_builder_;
-    std::vector<std::int32_t> ids_;
-    std::vector<metrics::PowerCurve> curves_;
-    std::vector<metrics::PowerCurve::InterpolationTable> tables_;
-    std::vector<double> ee_at_full_;
-    util::AlignedVector<double> grid_w0_;
-    util::AlignedVector<double> grid_m_;
-    util::AlignedVector<double> grid_inv_peak_;
-    double capacity_ops_ = 0.0;
-    double total_idle_watts_ = 0.0;
-  };
-
+  /// Number of servers (never zero: both constructors reject empty fleets).
   [[nodiscard]] std::size_t size() const { return tables_.size(); }
-  [[nodiscard]] bool empty() const { return tables_.empty(); }
-
-  /// The viewed records (index-aligned with every column below). Empty on a
-  /// streamed fleet — record-dependent consumers (logical clusters, the
-  /// operating guide) require a view-built fleet; columnar consumers use
-  /// server_id()/curve() and run on both.
-  [[nodiscard]] std::span<const dataset::ServerRecord> records() const {
-    return servers_;
-  }
-  [[nodiscard]] const dataset::ServerRecord& record(std::size_t i) const {
-    return servers_[i];
-  }
 
   /// Record id of server i (the placement/autoscaler ordering tiebreak).
-  /// Valid on view-built and streamed fleets alike.
   [[nodiscard]] std::int32_t server_id(std::size_t i) const { return ids_[i]; }
 
   /// Measurement sheet of server i — the viewed record's curve, or the
-  /// owned curve column on a streamed fleet.
+  /// owned curve column on a Builder fleet.
   [[nodiscard]] const metrics::PowerCurve& curve(std::size_t i) const {
     return curves_.empty() ? servers_[i].curve : curves_[i];
   }
-
-  /// True when built by Fleet::Builder (owns its columns; records() empty).
-  [[nodiscard]] bool streamed() const { return !curves_.empty(); }
 
   /// The columnar snapshot backing the record/derived columns.
   [[nodiscard]] const dataset::ColumnarSnapshot& snapshot() const {
@@ -156,7 +105,7 @@ class Fleet {
 
   // --- Batch power kernels --------------------------------------------------
   /// normalized_power of server `i`, evaluated against its cached table —
-  /// bitwise identical to record(i).curve.normalized_power(u).
+  /// bitwise identical to curve(i).normalized_power(u).
   [[nodiscard]] double normalized_power(std::size_t i, double utilization) const {
     return metrics::PowerCurve::normalized_power_from_table(tables_[i],
                                                             utilization);
@@ -210,15 +159,17 @@ class Fleet {
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
-  // Only the named factories construct fleets.
+  // Only build() and Builder construct fleets.
   Fleet() = default;
 
-  static Fleet make(std::span<const dataset::ServerRecord> servers);
+  /// The one per-row assembly routine build() and Builder share: id,
+  /// interpolation table, grid row, EE at full load and the aggregates.
+  void append_row(const dataset::ServerRecord& server);
 
-  std::span<const dataset::ServerRecord> servers_;
+  std::span<const dataset::ServerRecord> servers_;  // build() fleets only
   dataset::ColumnarSnapshot snapshot_;
   std::vector<std::int32_t> ids_;  // always populated (digest, tiebreaks)
-  std::vector<metrics::PowerCurve> curves_;  // streamed fleets only
+  std::vector<metrics::PowerCurve> curves_;  // Builder fleets only
   std::vector<metrics::PowerCurve::InterpolationTable> tables_;
   std::vector<double> ee_at_full_;
   // SoA grid columns for the SIMD kernels (native knot resolution; see
@@ -231,25 +182,31 @@ class Fleet {
   double total_idle_watts_ = 0.0;
 };
 
-/// Thread-safe lazy Fleet: many threads may request the fleet concurrently,
-/// the build runs exactly once under std::call_once (the same discipline as
-/// AnalysisContext's memoized members; TSan-checked under `ctest -L
-/// parallel`). Views the records like Fleet does.
-class LazyFleet {
+/// Streaming fleet assembly for chunk-emitting generators
+/// (dataset::generate_population_chunked): append record chunks, then
+/// finish() into a fleet that OWNS its curve column instead of viewing
+/// caller records, so a full vector<ServerRecord> is never materialized.
+/// Validation, per-row assembly and telemetry are build()'s own; digest()
+/// is byte-identical to a monolithic build() of the same records at any
+/// chunk size (pinned by tests/cluster_fleet_stream_test.cpp).
+class Fleet::Builder {
  public:
-  explicit LazyFleet(std::span<const dataset::ServerRecord> servers)
-      : servers_(servers) {}
+  Builder() = default;
 
-  LazyFleet(const LazyFleet&) = delete;
-  LazyFleet& operator=(const LazyFleet&) = delete;
+  /// Validates and appends one chunk; fails on the first bad curve with
+  /// the same "server N: ..." error build() produces (nothing from the
+  /// failing chunk is appended).
+  epserve::Result<bool> append(std::span<const dataset::ServerRecord> chunk);
 
-  /// The shared build result (error if the fleet failed validation).
-  const epserve::Result<Fleet>& get() const;
+  [[nodiscard]] std::uint64_t rows() const { return fleet_.size(); }
+
+  /// Finishes the fleet ("fleet is empty" when nothing was appended).
+  /// The builder must not be reused afterwards.
+  epserve::Result<Fleet> finish();
 
  private:
-  std::span<const dataset::ServerRecord> servers_;
-  mutable std::once_flag once_;
-  mutable std::optional<epserve::Result<Fleet>> fleet_;
+  dataset::ColumnarSnapshot::Builder snapshot_builder_;
+  Fleet fleet_;  // under construction; its snapshot is set by finish()
 };
 
 }  // namespace epserve::cluster

@@ -38,9 +38,6 @@ Result<metrics::PowerCurve> knightshift_curve(const Fleet& fleet,
       config.primary_suspend_fraction > 1.0) {
     return Error::invalid_argument("fractions must be in [0,1]");
   }
-  if (auto valid = fleet.curve(primary_index).validate(); !valid.ok()) {
-    return valid.error();
-  }
 
   const double primary_ops = fleet.peak_ops()[primary_index];
   const double primary_watts = fleet.peak_watts()[primary_index];
@@ -93,9 +90,10 @@ Result<metrics::PowerCurve> knightshift_curve(const Fleet& fleet,
 
 Result<metrics::PowerCurve> knightshift_curve(
     const dataset::ServerRecord& primary, const KnightShiftConfig& config) {
-  const Fleet fleet =
-      Fleet::from_records(std::span<const dataset::ServerRecord>(&primary, 1));
-  return knightshift_curve(fleet, 0, config);
+  const auto fleet =
+      Fleet::build(std::span<const dataset::ServerRecord>(&primary, 1));
+  if (!fleet.ok()) return fleet.error();
+  return knightshift_curve(fleet.value(), 0, config);
 }
 
 Result<KnightShiftComparison> compare_knightshift(
@@ -114,9 +112,10 @@ Result<KnightShiftComparison> compare_knightshift(
 
 Result<KnightShiftComparison> compare_knightshift(
     const dataset::ServerRecord& primary, const KnightShiftConfig& config) {
-  const Fleet fleet =
-      Fleet::from_records(std::span<const dataset::ServerRecord>(&primary, 1));
-  return compare_knightshift(fleet, 0, config);
+  const auto fleet =
+      Fleet::build(std::span<const dataset::ServerRecord>(&primary, 1));
+  if (!fleet.ok()) return fleet.error();
+  return compare_knightshift(fleet.value(), 0, config);
 }
 
 }  // namespace epserve::cluster

@@ -65,7 +65,6 @@ Result<MatrixCell> run_cell(const Fleet& fleet, const std::string& trace_name,
 
 Result<PolicyTraceMatrix> run_policy_trace_matrix(const Fleet& fleet,
                                                   const MatrixOptions& options) {
-  if (fleet.empty()) return Error::invalid_argument("fleet is empty");
   if (auto valid = options.idle.validate(); !valid.ok()) return valid.error();
   PolicyTraceMatrix matrix;
   matrix.servers = fleet.size();

@@ -64,9 +64,9 @@ struct MatrixOptions {
 
 /// Runs all policies over all requested traces against one shared Fleet,
 /// parallelized over (trace, policy) cells; emits a `cluster/matrix` root
-/// telemetry span and a `cluster.matrix.cells` counter. Fails on an empty
-/// fleet, an unknown trace name, or the first failing cell (lowest cell
-/// index, deterministically).
+/// telemetry span and a `cluster.matrix.cells` counter. Fails on an unknown
+/// trace name or the first failing cell (lowest cell index,
+/// deterministically).
 epserve::Result<PolicyTraceMatrix> run_policy_trace_matrix(
     const Fleet& fleet, const MatrixOptions& options = {});
 

@@ -36,7 +36,6 @@ double relative_ee_at(const metrics::PowerCurve& curve, double utilization,
 Result<OperatingGuide> build_operating_guide(const Fleet& fleet,
                                              double ee_threshold,
                                              double ep_bucket_width) {
-  if (fleet.empty()) return Error::invalid_argument("fleet is empty");
   if (!(ee_threshold > 0.0 && ee_threshold <= 1.0)) {
     return Error::invalid_argument("EE threshold must be in (0, 1]");
   }
@@ -49,9 +48,6 @@ Result<OperatingGuide> build_operating_guide(const Fleet& fleet,
   double efficient_ops = 0.0;
   double peak_ops = 0.0;
 
-  // Logical-cluster members point into fleet.records(); their offset from
-  // the span base recovers the fleet column index.
-  const dataset::ServerRecord* base = fleet.records().data();
   const std::span<const double> peak_ops_col = fleet.peak_ops();
   const std::span<const double> peak_ee_value = fleet.peak_ee_value();
   const std::span<const double> peak_ee_util = fleet.peak_ee_utilization();
@@ -66,19 +62,18 @@ Result<OperatingGuide> build_operating_guide(const Fleet& fleet,
       entry.target_utilization = cluster.shared_region.hi;
     } else {
       double mean_peak_util = 0.0;
-      for (const auto* member : cluster.members) {
-        mean_peak_util += peak_ee_util[static_cast<std::size_t>(member - base)];
+      for (const std::size_t member : cluster.members) {
+        mean_peak_util += peak_ee_util[member];
       }
       entry.target_utilization =
           mean_peak_util / static_cast<double>(cluster.members.size());
     }
     double rel_ee = 0.0;
-    for (const auto* member : cluster.members) {
-      const auto idx = static_cast<std::size_t>(member - base);
-      rel_ee += relative_ee_at(member->curve, entry.target_utilization,
-                               peak_ee_value[idx]);
-      efficient_ops += entry.target_utilization * peak_ops_col[idx];
-      peak_ops += peak_ops_col[idx];
+    for (const std::size_t member : cluster.members) {
+      rel_ee += relative_ee_at(fleet.curve(member), entry.target_utilization,
+                               peak_ee_value[member]);
+      efficient_ops += entry.target_utilization * peak_ops_col[member];
+      peak_ops += peak_ops_col[member];
     }
     entry.efficiency_at_target =
         rel_ee / static_cast<double>(cluster.members.size());

@@ -106,7 +106,6 @@ std::vector<std::vector<double>> OptimalRegionPolicy::place_batch(
 
 Result<Assignment> evaluate(const PlacementPolicy& policy, const Fleet& fleet,
                             double demand) {
-  if (fleet.empty()) return Error::invalid_argument("fleet is empty");
   if (demand < 0.0 || demand > 1.0) {
     return Error::invalid_argument("demand must be in [0, 1]");
   }
@@ -133,7 +132,6 @@ Result<Assignment> evaluate(const PlacementPolicy& policy, const Fleet& fleet,
 Result<std::vector<Assignment>> evaluate_batch(const PlacementPolicy& policy,
                                                const Fleet& fleet,
                                                std::span<const double> demands) {
-  if (fleet.empty()) return Error::invalid_argument("fleet is empty");
   const telemetry::Span span("evaluate_batch");
   telemetry::count("fleet.batch_evals");
   telemetry::count("cluster.evaluate_batch.calls");
@@ -204,7 +202,6 @@ Result<std::vector<Assignment>> evaluate_batch(const PlacementPolicy& policy,
 
 Result<metrics::PowerCurve> cluster_power_curve(const PlacementPolicy& policy,
                                                 const Fleet& fleet) {
-  if (fleet.empty()) return Error::invalid_argument("fleet is empty");
   std::array<double, metrics::kNumLoadLevels> watts{};
   std::array<double, metrics::kNumLoadLevels> ops{};
   auto assignments = evaluate_batch(policy, fleet, metrics::kLoadLevels);

@@ -13,10 +13,10 @@
 // per batch instead of once per demand point, and all power accounting runs
 // through the fleet's cached interpolation tables. Callers holding raw
 // std::vector<ServerRecord> data convert once at the call boundary via
-// Fleet::from_records (unvalidated) or Fleet::build (validated) — every
-// entry point here takes `const Fleet&` only, and the results are
-// byte-identical to the pre-Fleet record-at-a-time implementations
-// (pinned by tests/cluster_fleet_test.cpp).
+// Fleet::build, which validates — every entry point here takes
+// `const Fleet&` only, so it never sees an empty fleet or an invalid curve,
+// and the results are byte-identical to the pre-Fleet record-at-a-time
+// implementations (pinned by tests/cluster_fleet_test.cpp).
 #pragma once
 
 #include <memory>
@@ -93,8 +93,7 @@ class OptimalRegionPolicy final : public PlacementPolicy {
 
 /// Evaluates a policy: computes utilisations, per-curve powers (linear
 /// interpolation on the measured sheets; active idle at utilisation 0) and
-/// the achieved throughput. Fails if the fleet is empty or demand is out of
-/// [0, 1].
+/// the achieved throughput. Fails if demand is out of [0, 1].
 epserve::Result<Assignment> evaluate(const PlacementPolicy& policy,
                                      const Fleet& fleet, double demand);
 

@@ -5,6 +5,7 @@
 // best regions drive placement.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "dataset/record.h"
@@ -38,14 +39,15 @@ Region optimal_region(const metrics::PowerCurve& curve,
 /// optimal region is non-empty (paper §V.C's grouping procedure).
 struct LogicalCluster {
   double ep_bucket_lo = 0.0;  // [lo, lo + bucket width)
-  std::vector<const dataset::ServerRecord*> members;
+  std::vector<std::size_t> members;  // fleet row indices, ascending
   Region shared_region;  // intersection of member optimal regions
 };
 
 /// Groups servers into EP buckets of `bucket_width` and computes each
 /// bucket's shared optimal region. Buckets ascend by EP. Each server's EP is
 /// read off the fleet's derived column instead of re-integrating the curve
-/// per call; members point into fleet.records() (view-built fleets only).
+/// per call, and its curve through fleet.curve(i), so both build() and
+/// Builder fleets group alike.
 std::vector<LogicalCluster> build_logical_clusters(
     const Fleet& fleet, double bucket_width = 0.1, double ee_threshold = 0.95);
 

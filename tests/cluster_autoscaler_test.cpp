@@ -25,7 +25,7 @@ std::vector<dataset::ServerRecord> fleet(int n = 8) {
 }
 
 TEST(Autoscaler, TracksTheDemandShape) {
-  const auto result = autoscale_over_day(Fleet::from_records(fleet()),
+  const auto result = autoscale_over_day(Fleet::build(fleet()).value(),
                                          make_trace("diurnal").value());
   ASSERT_TRUE(result.ok()) << result.error().message;
   ASSERT_EQ(result.value().slots.size(), 24u);
@@ -41,10 +41,10 @@ TEST(Autoscaler, BeatsAlwaysOnBalancedOnIdleHeavyFleets) {
   // idling at 40% of peak power.
   const auto f = fleet();
   const auto trace = make_trace({"diurnal", 0.15, 0.35}).value();
-  const auto scaled = autoscale_over_day(Fleet::from_records(f), trace);
+  const auto scaled = autoscale_over_day(Fleet::build(f).value(), trace);
   ASSERT_TRUE(scaled.ok());
   const BalancedPolicy balanced;
-  const auto always_on = simulate_day(balanced, Fleet::from_records(f), trace);
+  const auto always_on = simulate_day(balanced, Fleet::build(f).value(), trace);
   ASSERT_TRUE(always_on.ok());
   EXPECT_LT(scaled.value().energy_kwh, always_on.value().energy_kwh * 0.85);
   // Same work served.
@@ -63,8 +63,8 @@ TEST(Autoscaler, HysteresisLimitsChurn) {
   tight.hysteresis_servers = 0;
   AutoscalerConfig loose;
   loose.hysteresis_servers = 2;
-  const auto thrashy = autoscale_over_day(Fleet::from_records(fleet()), saw, tight);
-  const auto damped = autoscale_over_day(Fleet::from_records(fleet()), saw, loose);
+  const auto thrashy = autoscale_over_day(Fleet::build(fleet()).value(), saw, tight);
+  const auto damped = autoscale_over_day(Fleet::build(fleet()).value(), saw, loose);
   ASSERT_TRUE(thrashy.ok());
   ASSERT_TRUE(damped.ok());
   double wakes_tight = 0.0, wakes_loose = 0.0;
@@ -79,8 +79,8 @@ TEST(Autoscaler, WakePenaltyChargesEnergy) {
   AutoscalerConfig costly;
   costly.wake_penalty_wh = 100.0;
   const auto trace = make_trace("diurnal").value();
-  const auto a = autoscale_over_day(Fleet::from_records(fleet()), trace, free_wakes);
-  const auto b = autoscale_over_day(Fleet::from_records(fleet()), trace, costly);
+  const auto a = autoscale_over_day(Fleet::build(fleet()).value(), trace, free_wakes);
+  const auto b = autoscale_over_day(Fleet::build(fleet()).value(), trace, costly);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_GT(b.value().energy_kwh, a.value().energy_kwh);
@@ -89,7 +89,7 @@ TEST(Autoscaler, WakePenaltyChargesEnergy) {
 TEST(Autoscaler, FullDemandActivatesEveryone) {
   DemandTrace full;
   full.demand.assign(4, 1.0);
-  const auto result = autoscale_over_day(Fleet::from_records(fleet()), full);
+  const auto result = autoscale_over_day(Fleet::build(fleet()).value(), full);
   ASSERT_TRUE(result.ok());
   for (const auto& slot : result.value().slots) {
     EXPECT_EQ(slot.active_servers, 8);
@@ -99,7 +99,7 @@ TEST(Autoscaler, FullDemandActivatesEveryone) {
 TEST(Autoscaler, ZeroDemandPowersEverythingDown) {
   DemandTrace nothing;
   nothing.demand.assign(4, 0.0);
-  const auto result = autoscale_over_day(Fleet::from_records(fleet()), nothing);
+  const auto result = autoscale_over_day(Fleet::build(fleet()).value(), nothing);
   ASSERT_TRUE(result.ok());
   for (const auto& slot : result.value().slots) {
     EXPECT_EQ(slot.active_servers, 0);
@@ -110,18 +110,17 @@ TEST(Autoscaler, ZeroDemandPowersEverythingDown) {
 
 TEST(Autoscaler, RejectsBadInputs) {
   const auto trace = make_trace("diurnal").value();
-  EXPECT_FALSE(autoscale_over_day(Fleet::from_records(std::vector<dataset::ServerRecord>{}), trace).ok());
   DemandTrace empty;
-  EXPECT_FALSE(autoscale_over_day(Fleet::from_records(fleet()), empty).ok());
+  EXPECT_FALSE(autoscale_over_day(Fleet::build(fleet()).value(), empty).ok());
   AutoscalerConfig bad;
   bad.target_utilization = 0.0;
-  EXPECT_FALSE(autoscale_over_day(Fleet::from_records(fleet()), trace, bad).ok());
+  EXPECT_FALSE(autoscale_over_day(Fleet::build(fleet()).value(), trace, bad).ok());
   bad = {};
   bad.wake_penalty_wh = -1.0;
-  EXPECT_FALSE(autoscale_over_day(Fleet::from_records(fleet()), trace, bad).ok());
+  EXPECT_FALSE(autoscale_over_day(Fleet::build(fleet()).value(), trace, bad).ok());
   DemandTrace out_of_range;
   out_of_range.demand = {1.5};
-  EXPECT_FALSE(autoscale_over_day(Fleet::from_records(fleet()), out_of_range).ok());
+  EXPECT_FALSE(autoscale_over_day(Fleet::build(fleet()).value(), out_of_range).ok());
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(DemandTrace, TroughAtNightPeakInEvening) {
 TEST(SimulateDay, AccountsEnergyAndWork) {
   const auto f = fleet();
   const OptimalRegionPolicy policy;
-  const auto day = simulate_day(policy, Fleet::from_records(f),
+  const auto day = simulate_day(policy, Fleet::build(f).value(),
                                 make_trace("diurnal").value());
   ASSERT_TRUE(day.ok()) << day.error().message;
   EXPECT_GT(day.value().energy_kwh, 0.0);
@@ -63,7 +63,7 @@ TEST(SimulateDay, ZeroDemandTraceStillBurnsIdleEnergy) {
   DemandTrace trace;
   trace.demand.assign(24, 0.0);
   const BalancedPolicy policy;
-  const auto day = simulate_day(policy, Fleet::from_records(f), trace);
+  const auto day = simulate_day(policy, Fleet::build(f).value(), trace);
   ASSERT_TRUE(day.ok());
   double idle_watts = 0.0;
   for (const auto& s : f) idle_watts += s.curve.idle_watts();
@@ -75,16 +75,16 @@ TEST(SimulateDay, RejectsEmptyTraceAndBadSlot) {
   const auto f = fleet();
   const BalancedPolicy policy;
   DemandTrace empty;
-  EXPECT_FALSE(simulate_day(policy, Fleet::from_records(f), empty).ok());
+  EXPECT_FALSE(simulate_day(policy, Fleet::build(f).value(), empty).ok());
   DemandTrace bad;
   bad.demand = {0.5};
   bad.slot_hours = 0.0;
-  EXPECT_FALSE(simulate_day(policy, Fleet::from_records(f), bad).ok());
+  EXPECT_FALSE(simulate_day(policy, Fleet::build(f).value(), bad).ok());
 }
 
 TEST(CompareOverDay, ReturnsAllThreePolicies) {
   const auto results = compare_policies_over_day(
-      Fleet::from_records(fleet()), make_trace("diurnal").value());
+      Fleet::build(fleet()).value(), make_trace("diurnal").value());
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results.value().size(), 3u);
   EXPECT_EQ(results.value()[0].policy, "pack-to-full");
@@ -94,7 +94,7 @@ TEST(CompareOverDay, ReturnsAllThreePolicies) {
 
 TEST(CompareOverDay, AllPoliciesServeTheSameWork) {
   const auto results = compare_policies_over_day(
-      Fleet::from_records(fleet()), make_trace("diurnal").value());
+      Fleet::build(fleet()).value(), make_trace("diurnal").value());
   ASSERT_TRUE(results.ok());
   const double reference = results.value()[0].served_gops;
   for (const auto& day : results.value()) {
@@ -114,7 +114,7 @@ TEST(CompareOverDay, OptimalRegionUsesLeastEnergyOnModernFleet) {
     }
   }
   const auto results = compare_policies_over_day(
-      Fleet::from_records(modern), make_trace("diurnal").value());
+      Fleet::build(modern).value(), make_trace("diurnal").value());
   ASSERT_TRUE(results.ok());
   const auto& pack = results.value()[0];
   const auto& balanced = results.value()[1];

@@ -2,8 +2,9 @@
 // cache — every column equals the per-record metric function bitwise, every
 // policy/simulation result routed through the Fleet equals the pre-refactor
 // record-at-a-time arithmetic bitwise (reimplemented here as the scalar
-// reference), at fleet sizes 1/100/5000 and from 1 or 8 threads sharing one
-// LazyFleet (run under -DEPSERVE_SANITIZE=thread via `ctest -L parallel`).
+// reference), at fleet sizes 1/100/5000, for build() and streamed Builder
+// fleets alike, and from 1 or 8 threads sharing one built Fleet (run under
+// -DEPSERVE_SANITIZE=thread via `ctest -L parallel`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <thread>
 
 #include "cluster/autoscaler.h"
@@ -179,7 +181,7 @@ TEST(FleetBuild, ColumnsAreBitwiseCopiesOfPerRecordMetrics) {
 
 TEST(FleetBuild, NormalizedPowerMatchesCurveBitwise) {
   const auto records = make_fleet(20);
-  const Fleet fleet = Fleet::from_records(records);
+  const Fleet fleet = Fleet::build(records).take();
   for (std::size_t i = 0; i < records.size(); ++i) {
     for (const double u : {0.0, 0.03, 0.1, 0.37, 0.5, 0.71, 0.99, 1.0}) {
       EXPECT_EQ(fleet.normalized_power(i, u),
@@ -278,7 +280,7 @@ TEST(FleetBuild, NamesTheServerForEveryCurveFailureMode) {
 
 TEST(FleetBuild, OptimalRegionTopsMatchPerRecordRegions) {
   const auto records = make_fleet(50);
-  const Fleet fleet = Fleet::from_records(records);
+  const Fleet fleet = Fleet::build(records).take();
   const auto tops = fleet.optimal_region_tops(0.95);
   ASSERT_EQ(tops.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -312,73 +314,85 @@ TEST_P(FleetEquivalence, EvaluateIsByteIdenticalToScalarReference) {
   }
 }
 
-TEST_P(FleetEquivalence, FromRecordsAdapterMatchesValidatedBuild) {
+TEST_P(FleetEquivalence, StreamedBuilderMatchesValidatedBuild) {
   const auto records = make_fleet(GetParam());
   const auto built = Fleet::build(records);
   ASSERT_TRUE(built.ok()) << built.error().message;
+
+  // The same records streamed through a Builder in 37-row chunks: the fleet
+  // owns its curve column instead of viewing `records`.
+  constexpr std::size_t kChunk = 37;
+  Fleet::Builder builder;
+  const std::span<const dataset::ServerRecord> all(records);
+  for (std::size_t at = 0; at < all.size(); at += kChunk) {
+    const auto appended =
+        builder.append(all.subspan(at, std::min(kChunk, all.size() - at)));
+    ASSERT_TRUE(appended.ok()) << appended.error().message;
+  }
+  const auto streamed = builder.finish();
+  ASSERT_TRUE(streamed.ok()) << streamed.error().message;
+  EXPECT_EQ(streamed.value().digest(), built.value().digest());
   const auto trace = make_trace("diurnal").value();
 
-  const auto day_fleet =
-      compare_policies_over_day(built.value(), trace);
-  const auto day_legacy =
-      compare_policies_over_day(Fleet::from_records(records), trace);
-  ASSERT_TRUE(day_fleet.ok());
-  ASSERT_TRUE(day_legacy.ok());
-  ASSERT_EQ(day_fleet.value().size(), day_legacy.value().size());
-  for (std::size_t i = 0; i < day_fleet.value().size(); ++i) {
-    EXPECT_EQ(day_fleet.value()[i].policy, day_legacy.value()[i].policy);
-    EXPECT_EQ(day_fleet.value()[i].energy_kwh,
-              day_legacy.value()[i].energy_kwh);
-    EXPECT_EQ(day_fleet.value()[i].served_gops,
-              day_legacy.value()[i].served_gops);
-    EXPECT_EQ(day_fleet.value()[i].avg_efficiency,
-              day_legacy.value()[i].avg_efficiency);
+  const auto day_built = compare_policies_over_day(built.value(), trace);
+  const auto day_streamed = compare_policies_over_day(streamed.value(), trace);
+  ASSERT_TRUE(day_built.ok());
+  ASSERT_TRUE(day_streamed.ok());
+  ASSERT_EQ(day_built.value().size(), day_streamed.value().size());
+  for (std::size_t i = 0; i < day_built.value().size(); ++i) {
+    EXPECT_EQ(day_built.value()[i].policy, day_streamed.value()[i].policy);
+    EXPECT_EQ(day_built.value()[i].energy_kwh,
+              day_streamed.value()[i].energy_kwh);
+    EXPECT_EQ(day_built.value()[i].served_gops,
+              day_streamed.value()[i].served_gops);
+    EXPECT_EQ(day_built.value()[i].avg_efficiency,
+              day_streamed.value()[i].avg_efficiency);
   }
 
-  const auto scaled_fleet = autoscale_over_day(built.value(), trace);
-  const auto scaled_legacy =
-      autoscale_over_day(Fleet::from_records(records), trace);
-  ASSERT_TRUE(scaled_fleet.ok());
-  ASSERT_TRUE(scaled_legacy.ok());
-  EXPECT_EQ(scaled_fleet.value().energy_kwh, scaled_legacy.value().energy_kwh);
-  EXPECT_EQ(scaled_fleet.value().served_gops,
-            scaled_legacy.value().served_gops);
-  ASSERT_EQ(scaled_fleet.value().slots.size(),
-            scaled_legacy.value().slots.size());
-  for (std::size_t s = 0; s < scaled_fleet.value().slots.size(); ++s) {
-    EXPECT_EQ(scaled_fleet.value().slots[s].power_watts,
-              scaled_legacy.value().slots[s].power_watts);
-    EXPECT_EQ(scaled_fleet.value().slots[s].active_servers,
-              scaled_legacy.value().slots[s].active_servers);
+  const auto scaled_built = autoscale_over_day(built.value(), trace);
+  const auto scaled_streamed = autoscale_over_day(streamed.value(), trace);
+  ASSERT_TRUE(scaled_built.ok());
+  ASSERT_TRUE(scaled_streamed.ok());
+  EXPECT_EQ(scaled_built.value().energy_kwh,
+            scaled_streamed.value().energy_kwh);
+  EXPECT_EQ(scaled_built.value().served_gops,
+            scaled_streamed.value().served_gops);
+  ASSERT_EQ(scaled_built.value().slots.size(),
+            scaled_streamed.value().slots.size());
+  for (std::size_t s = 0; s < scaled_built.value().slots.size(); ++s) {
+    EXPECT_EQ(scaled_built.value().slots[s].power_watts,
+              scaled_streamed.value().slots[s].power_watts);
+    EXPECT_EQ(scaled_built.value().slots[s].active_servers,
+              scaled_streamed.value().slots[s].active_servers);
   }
 
-  const auto guide_fleet = build_operating_guide(built.value());
-  const auto guide_legacy =
-      build_operating_guide(Fleet::from_records(records));
-  ASSERT_TRUE(guide_fleet.ok());
-  ASSERT_TRUE(guide_legacy.ok());
-  EXPECT_EQ(render_guide(guide_fleet.value()),
-            render_guide(guide_legacy.value()));
-  EXPECT_EQ(guide_fleet.value().efficient_capacity_fraction,
-            guide_legacy.value().efficient_capacity_fraction);
+  // Logical clusters and the guide read curves through Fleet::curve(), so
+  // they run on a Builder fleet too.
+  const auto guide_built = build_operating_guide(built.value());
+  const auto guide_streamed = build_operating_guide(streamed.value());
+  ASSERT_TRUE(guide_built.ok());
+  ASSERT_TRUE(guide_streamed.ok());
+  EXPECT_EQ(render_guide(guide_built.value()),
+            render_guide(guide_streamed.value()));
+  EXPECT_EQ(guide_built.value().efficient_capacity_fraction,
+            guide_streamed.value().efficient_capacity_fraction);
 
   const OptimalRegionPolicy optimal;
-  const auto cap_fleet =
-      max_throughput_under_cap(optimal, built.value(), 1e9);
-  const auto cap_legacy =
-      max_throughput_under_cap(optimal, Fleet::from_records(records), 1e9);
-  ASSERT_TRUE(cap_fleet.ok());
-  ASSERT_TRUE(cap_legacy.ok());
-  EXPECT_EQ(cap_fleet.value().max_demand, cap_legacy.value().max_demand);
-  EXPECT_EQ(cap_fleet.value().max_throughput,
-            cap_legacy.value().max_throughput);
+  const auto cap_built = max_throughput_under_cap(optimal, built.value(), 1e9);
+  const auto cap_streamed =
+      max_throughput_under_cap(optimal, streamed.value(), 1e9);
+  ASSERT_TRUE(cap_built.ok());
+  ASSERT_TRUE(cap_streamed.ok());
+  EXPECT_EQ(cap_built.value().max_demand, cap_streamed.value().max_demand);
+  EXPECT_EQ(cap_built.value().max_throughput,
+            cap_streamed.value().max_throughput);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FleetEquivalence,
                          ::testing::Values(std::size_t{1}, std::size_t{100},
                                            std::size_t{5000}));
 
-// --- Concurrency: 8 threads share one LazyFleet ----------------------------
+// --- Concurrency: 8 threads share one built Fleet ---------------------------
 
 TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
   const auto records = make_fleet(100);
@@ -386,22 +400,22 @@ TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
 
   // Single-threaded baseline through its own fleet.
   const auto baseline =
-      compare_policies_over_day(Fleet::from_records(records), trace);
+      compare_policies_over_day(Fleet::build(records).value(), trace);
   ASSERT_TRUE(baseline.ok());
 
   telemetry::reset();
   telemetry::set_enabled(true);
   {
-    const LazyFleet lazy(records);
+    const auto built = Fleet::build(records);
+    ASSERT_TRUE(built.ok()) << built.error().message;
+    const Fleet& shared = built.value();
     constexpr int kThreads = 8;
     std::vector<std::vector<DayResult>> per_thread(kThreads);
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        const auto& built = lazy.get();
-        ASSERT_TRUE(built.ok());
-        auto day = compare_policies_over_day(built.value(), trace);
+        auto day = compare_policies_over_day(shared, trace);
         ASSERT_TRUE(day.ok());
         per_thread[static_cast<std::size_t>(t)] = std::move(day).take();
       });
@@ -421,23 +435,6 @@ TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
   ASSERT_NE(builds, nullptr);
   EXPECT_EQ(builds->value, 1u);
   telemetry::reset();
-}
-
-TEST(FleetConcurrency, LazyFleetPropagatesBuildErrors) {
-  auto records = make_fleet(2);
-  records[0].curve = metrics::PowerCurve{};
-  const LazyFleet lazy(records);
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      const auto& built = lazy.get();
-      EXPECT_FALSE(built.ok());
-      EXPECT_NE(built.error().message.find("server 1: "), std::string::npos);
-    });
-  }
-  for (auto& thread : threads) thread.join();
 }
 
 }  // namespace

@@ -96,6 +96,19 @@ TEST(KnightShift, RejectsBadConfigs) {
   bad = {};
   bad.primary_suspend_fraction = -0.1;
   EXPECT_FALSE(knightshift_curve(primary, bad).ok());
+
+  // An invalid primary curve is rejected by the one-server Fleet::build the
+  // record overloads go through, naming the server.
+  dataset::ServerRecord broken = primary;
+  broken.id = 7;
+  broken.curve = metrics::PowerCurve{};  // all-zero: fails validate()
+  const auto curve = knightshift_curve(broken);
+  ASSERT_FALSE(curve.ok());
+  EXPECT_EQ(curve.error().message.rfind("server 7: ", 0), 0u)
+      << curve.error().message;
+  const auto cmp = compare_knightshift(broken);
+  ASSERT_FALSE(cmp.ok());
+  EXPECT_EQ(cmp.error().message, curve.error().message);
 }
 
 }  // namespace

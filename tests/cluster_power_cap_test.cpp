@@ -27,7 +27,7 @@ std::vector<dataset::ServerRecord> fleet() {
 
 TEST(PowerCap, GenerousCapAllowsFullLoad) {
   const PackToFullPolicy policy;
-  const auto result = max_throughput_under_cap(policy, Fleet::from_records(fleet()), 1e9);
+  const auto result = max_throughput_under_cap(policy, Fleet::build(fleet()).value(), 1e9);
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result.value().max_demand, 1.0);
   EXPECT_NEAR(result.value().max_throughput, 8e6, 1.0);
@@ -36,7 +36,7 @@ TEST(PowerCap, GenerousCapAllowsFullLoad) {
 TEST(PowerCap, TightCapLimitsDemand) {
   const BalancedPolicy policy;
   // Fleet peak is 1200 W; cap at 70% of it.
-  const auto result = max_throughput_under_cap(policy, Fleet::from_records(fleet()), 840.0);
+  const auto result = max_throughput_under_cap(policy, Fleet::build(fleet()).value(), 840.0);
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result.value().max_demand, 1.0);
   EXPECT_GT(result.value().max_demand, 0.0);
@@ -45,11 +45,11 @@ TEST(PowerCap, TightCapLimitsDemand) {
 
 TEST(PowerCap, BisectionConvergesToTheBoundary) {
   const BalancedPolicy policy;
-  const auto result = max_throughput_under_cap(policy, Fleet::from_records(fleet()), 900.0, 1e-6);
+  const auto result = max_throughput_under_cap(policy, Fleet::build(fleet()).value(), 900.0, 1e-6);
   ASSERT_TRUE(result.ok());
   // Power just above the found demand must exceed the cap.
   const auto above =
-      evaluate(policy, Fleet::from_records(fleet()), std::min(1.0, result.value().max_demand + 1e-3));
+      evaluate(policy, Fleet::build(fleet()).value(), std::min(1.0, result.value().max_demand + 1e-3));
   ASSERT_TRUE(above.ok());
   EXPECT_GT(above.value().total_power_watts, 900.0 - 1.0);
 }
@@ -63,8 +63,8 @@ TEST(PowerCap, EpAwarePlacementDoesMoreWorkUnderTheSameCap) {
   const OptimalRegionPolicy optimal;
   const PackToFullPolicy pack;
   const double cap = 800.0;
-  const auto a = max_throughput_under_cap(optimal, Fleet::from_records(fleet()), cap);
-  const auto b = max_throughput_under_cap(pack, Fleet::from_records(fleet()), cap);
+  const auto a = max_throughput_under_cap(optimal, Fleet::build(fleet()).value(), cap);
+  const auto b = max_throughput_under_cap(pack, Fleet::build(fleet()).value(), cap);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_GE(a.value().max_throughput, b.value().max_throughput * 0.999);
@@ -73,17 +73,15 @@ TEST(PowerCap, EpAwarePlacementDoesMoreWorkUnderTheSameCap) {
 TEST(PowerCap, ImpossibleCapFails) {
   const PackToFullPolicy policy;
   // Fleet idle power alone is several hundred watts.
-  const auto result = max_throughput_under_cap(policy, Fleet::from_records(fleet()), 10.0);
+  const auto result = max_throughput_under_cap(policy, Fleet::build(fleet()).value(), 10.0);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, Error::Code::kFailedPrecondition);
 }
 
 TEST(PowerCap, RejectsBadArguments) {
   const PackToFullPolicy policy;
-  EXPECT_FALSE(max_throughput_under_cap(policy, Fleet::from_records(fleet()), -5.0).ok());
-  EXPECT_FALSE(max_throughput_under_cap(policy, Fleet::from_records(fleet()), 800.0, 0.0).ok());
-  const std::vector<dataset::ServerRecord> empty;
-  EXPECT_FALSE(max_throughput_under_cap(policy, Fleet::from_records(empty), 800.0).ok());
+  EXPECT_FALSE(max_throughput_under_cap(policy, Fleet::build(fleet()).value(), -5.0).ok());
+  EXPECT_FALSE(max_throughput_under_cap(policy, Fleet::build(fleet()).value(), 800.0, 0.0).ok());
 }
 
 }  // namespace

@@ -95,7 +95,7 @@ TEST(OptimalRegion, RejectsBadThreshold) {
 
 TEST(LogicalClusters, PartitionCoversFleet) {
   const auto fleet = small_fleet();
-  const auto clusters = build_logical_clusters(Fleet::from_records(fleet), 0.1);
+  const auto clusters = build_logical_clusters(Fleet::build(fleet).value(), 0.1);
   std::size_t members = 0;
   for (const auto& c : clusters) members += c.members.size();
   EXPECT_EQ(members, fleet.size());
@@ -103,13 +103,13 @@ TEST(LogicalClusters, PartitionCoversFleet) {
 
 TEST(LogicalClusters, BucketsAscendAndGroupSimilarEp) {
   const auto fleet = small_fleet();
-  const auto clusters = build_logical_clusters(Fleet::from_records(fleet), 0.1);
+  const auto clusters = build_logical_clusters(Fleet::build(fleet).value(), 0.1);
   for (std::size_t i = 1; i < clusters.size(); ++i) {
     EXPECT_GT(clusters[i].ep_bucket_lo, clusters[i - 1].ep_bucket_lo);
   }
   for (const auto& c : clusters) {
-    for (const auto* member : c.members) {
-      const double ep = metrics::energy_proportionality(member->curve);
+    for (const std::size_t member : c.members) {
+      const double ep = metrics::energy_proportionality(fleet[member].curve);
       EXPECT_GE(ep, c.ep_bucket_lo - 1e-9);
       EXPECT_LT(ep, c.ep_bucket_lo + 0.1 + 1e-9);
     }
@@ -118,10 +118,10 @@ TEST(LogicalClusters, BucketsAscendAndGroupSimilarEp) {
 
 TEST(LogicalClusters, SharedRegionInsideEveryMemberRegion) {
   const auto fleet = small_fleet();
-  for (const auto& c : build_logical_clusters(Fleet::from_records(fleet), 0.2)) {
+  for (const auto& c : build_logical_clusters(Fleet::build(fleet).value(), 0.2)) {
     if (c.shared_region.empty()) continue;
-    for (const auto* member : c.members) {
-      const Region own = optimal_region(member->curve, 0.95);
+    for (const std::size_t member : c.members) {
+      const Region own = optimal_region(fleet[member].curve, 0.95);
       EXPECT_GE(c.shared_region.lo, own.lo - 1e-9);
       EXPECT_LE(c.shared_region.hi, own.hi + 1e-9);
     }
@@ -142,7 +142,7 @@ TEST(Placement, AllPoliciesMeetDemand) {
     for (const PlacementPolicy* policy :
          std::initializer_list<const PlacementPolicy*>{&pack, &balanced,
                                                        &optimal}) {
-      const auto assignment = evaluate(*policy, Fleet::from_records(fleet), demand);
+      const auto assignment = evaluate(*policy, Fleet::build(fleet).value(), demand);
       ASSERT_TRUE(assignment.ok()) << policy->name();
       EXPECT_NEAR(assignment.value().total_ops, demand * capacity,
                   capacity * 1e-9)
@@ -154,7 +154,7 @@ TEST(Placement, AllPoliciesMeetDemand) {
 TEST(Placement, FullDemandSaturatesEveryone) {
   const auto fleet = small_fleet();
   const OptimalRegionPolicy optimal;
-  const auto assignment = evaluate(optimal, Fleet::from_records(fleet), 1.0);
+  const auto assignment = evaluate(optimal, Fleet::build(fleet).value(), 1.0);
   ASSERT_TRUE(assignment.ok());
   for (const double u : assignment.value().utilization) {
     EXPECT_NEAR(u, 1.0, 1e-9);
@@ -168,8 +168,8 @@ TEST(Placement, OptimalRegionBeatsPackToFullAtModerateDemand) {
   const PackToFullPolicy pack;
   const OptimalRegionPolicy optimal;
   for (const double demand : {0.35, 0.45}) {
-    const auto a = evaluate(pack, Fleet::from_records(fleet), demand);
-    const auto b = evaluate(optimal, Fleet::from_records(fleet), demand);
+    const auto a = evaluate(pack, Fleet::build(fleet).value(), demand);
+    const auto b = evaluate(optimal, Fleet::build(fleet).value(), demand);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_GT(b.value().efficiency(), a.value().efficiency())
@@ -178,8 +178,8 @@ TEST(Placement, OptimalRegionBeatsPackToFullAtModerateDemand) {
   // Near the spill-over point the two converge; EP-aware placement must at
   // least never be materially worse.
   for (const double demand : {0.55, 0.65}) {
-    const auto a = evaluate(pack, Fleet::from_records(fleet), demand);
-    const auto b = evaluate(optimal, Fleet::from_records(fleet), demand);
+    const auto a = evaluate(pack, Fleet::build(fleet).value(), demand);
+    const auto b = evaluate(optimal, Fleet::build(fleet).value(), demand);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_GT(b.value().efficiency(), a.value().efficiency() * 0.98)
@@ -193,20 +193,20 @@ TEST(Placement, BalancedWastesPowerOnLegacyMachinesAtLowDemand) {
   const auto fleet = small_fleet();
   const BalancedPolicy balanced;
   const OptimalRegionPolicy optimal;
-  const auto a = evaluate(balanced, Fleet::from_records(fleet), 0.3);
-  const auto b = evaluate(optimal, Fleet::from_records(fleet), 0.3);
+  const auto a = evaluate(balanced, Fleet::build(fleet).value(), 0.3);
+  const auto b = evaluate(optimal, Fleet::build(fleet).value(), 0.3);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_GT(b.value().efficiency(), a.value().efficiency());
 }
 
 TEST(Placement, RejectsEmptyFleetAndBadDemand) {
+  // An empty fleet never reaches evaluate(): Fleet::build rejects it
+  // (FleetBuild.RejectsEmptyFleet).
   const PackToFullPolicy pack;
-  const std::vector<dataset::ServerRecord> empty;
-  EXPECT_FALSE(evaluate(pack, Fleet::from_records(empty), 0.5).ok());
   const auto fleet = small_fleet();
-  EXPECT_FALSE(evaluate(pack, Fleet::from_records(fleet), -0.1).ok());
-  EXPECT_FALSE(evaluate(pack, Fleet::from_records(fleet), 1.1).ok());
+  EXPECT_FALSE(evaluate(pack, Fleet::build(fleet).value(), -0.1).ok());
+  EXPECT_FALSE(evaluate(pack, Fleet::build(fleet).value(), 1.1).ok());
 }
 
 // --- Cluster-wide EP ----------------------------------------------------------------------
@@ -215,8 +215,8 @@ TEST(ClusterEp, CurveIsValidAndComparable) {
   const auto fleet = small_fleet();
   const PackToFullPolicy pack;
   const OptimalRegionPolicy optimal;
-  const auto pack_curve = cluster_power_curve(pack, Fleet::from_records(fleet));
-  const auto optimal_curve = cluster_power_curve(optimal, Fleet::from_records(fleet));
+  const auto pack_curve = cluster_power_curve(pack, Fleet::build(fleet).value());
+  const auto optimal_curve = cluster_power_curve(optimal, Fleet::build(fleet).value());
   ASSERT_TRUE(pack_curve.ok()) << pack_curve.error().message;
   ASSERT_TRUE(optimal_curve.ok()) << optimal_curve.error().message;
   const double ep_pack = metrics::energy_proportionality(pack_curve.value());
@@ -248,16 +248,16 @@ TEST(ClusterEp, ConsolidationWinsOnSuperlinearNodes) {
 
   // Superlinear (EP < 1 - idle): consolidation wins.
   const auto legacy = fleet_with_ep(0.45, 0.35);
-  const auto g1 = evaluate(grouped, Fleet::from_records(legacy), 0.25);
-  const auto i1 = evaluate(independent, Fleet::from_records(legacy), 0.25);
+  const auto g1 = evaluate(grouped, Fleet::build(legacy).value(), 0.25);
+  const auto i1 = evaluate(independent, Fleet::build(legacy).value(), 0.25);
   ASSERT_TRUE(g1.ok());
   ASSERT_TRUE(i1.ok());
   EXPECT_GT(g1.value().efficiency(), i1.value().efficiency());
 
   // Sublinear (EP > 1 - idle): spreading wins.
   const auto modern = fleet_with_ep(0.80, 0.35);
-  const auto g2 = evaluate(grouped, Fleet::from_records(modern), 0.25);
-  const auto i2 = evaluate(independent, Fleet::from_records(modern), 0.25);
+  const auto g2 = evaluate(grouped, Fleet::build(modern).value(), 0.25);
+  const auto i2 = evaluate(independent, Fleet::build(modern).value(), 0.25);
   ASSERT_TRUE(g2.ok());
   ASSERT_TRUE(i2.ok());
   EXPECT_LT(g2.value().efficiency(), i2.value().efficiency());
@@ -269,7 +269,7 @@ TEST(ClusterEp, WorksOnGeneratedPopulationSubset) {
   std::vector<dataset::ServerRecord> fleet(population.value().begin(),
                                            population.value().begin() + 20);
   const OptimalRegionPolicy optimal;
-  const auto curve = cluster_power_curve(optimal, Fleet::from_records(fleet));
+  const auto curve = cluster_power_curve(optimal, Fleet::build(fleet).value());
   ASSERT_TRUE(curve.ok()) << curve.error().message;
   EXPECT_TRUE(curve.value().validate().ok());
 }

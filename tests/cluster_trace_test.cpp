@@ -166,7 +166,7 @@ TEST(IdleModel, ZeroCostMultiStateModelConservesTheLegacyAccounting) {
   // and wake for free exercises the idle pass without being able to change
   // any accounted quantity — the results must equal the legacy path bitwise.
   const auto fleet_records = records();
-  const auto fleet = Fleet::from_records(fleet_records);
+  const auto fleet = Fleet::build(fleet_records).take();
   IdleModel free_ladder;
   free_ladder.states = {{"C0", 1.0, 0.0, 0.0}, {"C1", 1.0, 0.0, 0.0}};
   ASSERT_TRUE(free_ladder.validate().ok());
@@ -193,7 +193,7 @@ TEST(IdleModel, ZeroCostMultiStateModelConservesTheLegacyAccounting) {
 
 TEST(IdleModel, AcpiLadderSavesEnergyAndChargesWakesOnFlashCrowd) {
   const auto fleet_records = records();
-  const auto fleet = Fleet::from_records(fleet_records);
+  const auto fleet = Fleet::build(fleet_records).take();
   auto trace = make_trace("flash_crowd");
   ASSERT_TRUE(trace.ok());
   const PackToFullPolicy pack;
@@ -216,7 +216,7 @@ TEST(IdleModel, ScaleOutIdleCapCostsEnergyVersusUncappedSleep) {
   // The latency-critical trace forbids deep states, so its parked servers
   // burn more residency power than the same demand shape without the cap.
   const auto fleet_records = records();
-  const auto fleet = Fleet::from_records(fleet_records);
+  const auto fleet = Fleet::build(fleet_records).take();
   auto capped = make_trace("scale_out");
   ASSERT_TRUE(capped.ok());
   DemandTrace uncapped = capped.value();
@@ -237,7 +237,7 @@ TEST(IdleModel, ScaleOutIdleCapCostsEnergyVersusUncappedSleep) {
 
 TEST(PolicyTraceMatrix, CoversEveryTracePolicyCellOffOneFleet) {
   const auto fleet_records = records();
-  const auto fleet = Fleet::from_records(fleet_records);
+  const auto fleet = Fleet::build(fleet_records).take();
   const auto run = run_policy_trace_matrix(fleet);
   ASSERT_TRUE(run.ok()) << run.error().message;
   const auto& matrix = run.value();
@@ -264,7 +264,7 @@ TEST(PolicyTraceMatrix, CoversEveryTracePolicyCellOffOneFleet) {
 
 TEST(PolicyTraceMatrix, ByteIdenticalAtOneAndEightThreads) {
   const auto fleet_records = records();
-  const auto fleet = Fleet::from_records(fleet_records);
+  const auto fleet = Fleet::build(fleet_records).take();
   MatrixOptions serial;
   serial.threads = 1;
   MatrixOptions parallel;
@@ -293,10 +293,10 @@ TEST(PolicyTraceMatrix, ByteIdenticalAtOneAndEightThreads) {
 }
 
 TEST(PolicyTraceMatrix, RejectsEmptyFleetAndUnknownTrace) {
-  const std::vector<dataset::ServerRecord> none;
-  EXPECT_FALSE(run_policy_trace_matrix(Fleet::from_records(none)).ok());
+  // An empty fleet never reaches the matrix: Fleet::build rejects it
+  // (FleetBuild.RejectsEmptyFleet).
   const auto fleet_records = records();
-  const auto fleet = Fleet::from_records(fleet_records);
+  const auto fleet = Fleet::build(fleet_records).take();
   MatrixOptions options;
   options.traces = {"diurnal", "nope"};
   const auto run = run_policy_trace_matrix(fleet, options);

@@ -145,7 +145,7 @@ std::vector<dataset::ServerRecord> guide_fleet() {
 }
 
 TEST(OperatingGuide, CoversFleetInAscendingBuckets) {
-  const auto guide = cluster::build_operating_guide(cluster::Fleet::from_records(guide_fleet()));
+  const auto guide = cluster::build_operating_guide(cluster::Fleet::build(guide_fleet()).value());
   ASSERT_TRUE(guide.ok());
   std::size_t covered = 0;
   double prev = -1.0;
@@ -158,7 +158,7 @@ TEST(OperatingGuide, CoversFleetInAscendingBuckets) {
 }
 
 TEST(OperatingGuide, InteriorPeakClustersGetInteriorTargets) {
-  const auto guide = cluster::build_operating_guide(cluster::Fleet::from_records(guide_fleet()));
+  const auto guide = cluster::build_operating_guide(cluster::Fleet::build(guide_fleet()).value());
   ASSERT_TRUE(guide.ok());
   // The high-EP bucket (0.9..1.0) holds the two interior-peak machines;
   // its target must sit below full load — the paper's "keep them at ~70%".
@@ -171,21 +171,21 @@ TEST(OperatingGuide, InteriorPeakClustersGetInteriorTargets) {
 }
 
 TEST(OperatingGuide, LinearClustersTargetFullLoad) {
-  const auto guide = cluster::build_operating_guide(cluster::Fleet::from_records(guide_fleet()));
+  const auto guide = cluster::build_operating_guide(cluster::Fleet::build(guide_fleet()).value());
   ASSERT_TRUE(guide.ok());
   const auto& bottom = guide.value().entries.front();  // the legacy machine
   EXPECT_NEAR(bottom.target_utilization, 1.0, 1e-9);
 }
 
 TEST(OperatingGuide, EfficientCapacityIsAMeaningfulFraction) {
-  const auto guide = cluster::build_operating_guide(cluster::Fleet::from_records(guide_fleet()));
+  const auto guide = cluster::build_operating_guide(cluster::Fleet::build(guide_fleet()).value());
   ASSERT_TRUE(guide.ok());
   EXPECT_GT(guide.value().efficient_capacity_fraction, 0.5);
   EXPECT_LE(guide.value().efficient_capacity_fraction, 1.0);
 }
 
 TEST(OperatingGuide, RendersTable) {
-  const auto guide = cluster::build_operating_guide(cluster::Fleet::from_records(guide_fleet()));
+  const auto guide = cluster::build_operating_guide(cluster::Fleet::build(guide_fleet()).value());
   ASSERT_TRUE(guide.ok());
   const std::string text = cluster::render_guide(guide.value());
   EXPECT_NE(text.find("EP bucket"), std::string::npos);
@@ -193,11 +193,10 @@ TEST(OperatingGuide, RendersTable) {
 }
 
 TEST(OperatingGuide, RejectsBadArguments) {
-  EXPECT_FALSE(cluster::build_operating_guide(cluster::Fleet::from_records(std::vector<dataset::ServerRecord>{})).ok());
   EXPECT_FALSE(
-      cluster::build_operating_guide(cluster::Fleet::from_records(guide_fleet()), 0.0).ok());
+      cluster::build_operating_guide(cluster::Fleet::build(guide_fleet()).value(), 0.0).ok());
   EXPECT_FALSE(
-      cluster::build_operating_guide(cluster::Fleet::from_records(guide_fleet()), 0.95, 0.0).ok());
+      cluster::build_operating_guide(cluster::Fleet::build(guide_fleet()).value(), 0.95, 0.0).ok());
 }
 
 TEST(OperatingGuide, WorksOnGeneratedPopulation) {
@@ -205,7 +204,7 @@ TEST(OperatingGuide, WorksOnGeneratedPopulation) {
   ASSERT_TRUE(population.ok());
   std::vector<dataset::ServerRecord> fleet(population.value().begin(),
                                            population.value().begin() + 40);
-  const auto guide = cluster::build_operating_guide(cluster::Fleet::from_records(fleet));
+  const auto guide = cluster::build_operating_guide(cluster::Fleet::build(fleet).value());
   ASSERT_TRUE(guide.ok());
   EXPECT_FALSE(guide.value().entries.empty());
 }

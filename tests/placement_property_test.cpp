@@ -50,7 +50,7 @@ TEST_P(PlacementSweep, ConservationAndBounds) {
   const auto fleet = fleet_slice(static_cast<std::size_t>(offset), 16);
   const auto& policy = policy_by_name(policy_name);
 
-  const auto assignment = evaluate(policy, Fleet::from_records(fleet), demand);
+  const auto assignment = evaluate(policy, Fleet::build(fleet).value(), demand);
   ASSERT_TRUE(assignment.ok()) << assignment.error().message;
 
   // Utilisations within [0, 1].
@@ -78,7 +78,7 @@ TEST_P(PlacementSweep, ConservationAndBounds) {
 
   // Power monotone in demand (same policy, same fleet).
   if (demand <= 0.85) {
-    const auto higher = evaluate(policy, Fleet::from_records(fleet), demand + 0.1);
+    const auto higher = evaluate(policy, Fleet::build(fleet).value(), demand + 0.1);
     ASSERT_TRUE(higher.ok());
     EXPECT_GE(higher.value().total_power_watts,
               assignment.value().total_power_watts - 1e-6);
@@ -99,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PlacementAggregates, ClusterCurveEpWithinRange) {
   const auto fleet = fleet_slice(50, 12);
   for (const auto* name : {"pack", "balanced", "optimal"}) {
-    const auto curve = cluster_power_curve(policy_by_name(name), Fleet::from_records(fleet));
+    const auto curve = cluster_power_curve(policy_by_name(name), Fleet::build(fleet).value());
     ASSERT_TRUE(curve.ok()) << name << ": " << curve.error().message;
     const double ep = metrics::energy_proportionality(curve.value());
     EXPECT_GT(ep, 0.0) << name;
@@ -118,7 +118,7 @@ TEST(PlacementAggregates, BalancedClusterEpMatchesMeanServerBehaviour) {
     lo = std::min(lo, ep);
     hi = std::max(hi, ep);
   }
-  const auto curve = cluster_power_curve(policy_by_name("balanced"), Fleet::from_records(fleet));
+  const auto curve = cluster_power_curve(policy_by_name("balanced"), Fleet::build(fleet).value());
   ASSERT_TRUE(curve.ok());
   const double cluster_ep = metrics::energy_proportionality(curve.value());
   EXPECT_GE(cluster_ep, lo - 0.02);
