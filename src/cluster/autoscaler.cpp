@@ -30,14 +30,10 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
   const std::size_t n = fleet.size();
   const std::size_t num_slots = trace.demand.size();
 
-  // Order servers best-overall-EE first; the active set is always a prefix.
-  const std::span<const double> score = fleet.overall_score();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (score[a] != score[b]) return score[a] > score[b];
-    return fleet.server_id(a) < fleet.server_id(b);
-  });
+  // Servers best-overall-EE first (the fleet's cached order); the active set
+  // is always a prefix.
+  const std::span<const std::size_t> order =
+      fleet.order(Fleet::OrderKey::kOverallScore);
 
   // prefix[k] = capacity of the k best servers, accumulated in prefix order —
   // the same additions (and therefore the same doubles) as growing the
@@ -60,7 +56,7 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
   int active = 0;
   for (std::size_t s = 0; s < num_slots; ++s) {
     const double demand = trace.demand[s];
-    if (demand < 0.0 || demand > 1.0) {
+    if (!(demand >= 0.0 && demand <= 1.0)) {  // NaN fails too
       return Error::invalid_argument("trace demand outside [0, 1]");
     }
     const double demand_ops = demand * fleet_capacity;
@@ -106,31 +102,49 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
 
   // Pass 2 — server-major power: for each prefix position j, one batched
   // table evaluation covers every slot whose active set includes order[j].
-  // Scattering in ascending j adds each slot's contributions in the same
-  // order the scalar per-slot loop did, so slot powers match bitwise.
+  // Slots are visited stable-sorted by active_servers, descending, so the
+  // slots awake at position j are a prefix of that list that only shrinks
+  // as j grows. Each slot still accumulates its contributions in ascending
+  // j — the order the scalar per-slot loop added them — so slot powers match
+  // bitwise.
+  std::vector<std::size_t> by_active(num_slots);
+  std::iota(by_active.begin(), by_active.end(), std::size_t{0});
+  std::stable_sort(by_active.begin(), by_active.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return result.slots[a].active_servers >
+                            result.slots[b].active_servers;
+                   });
+  std::vector<double> utils(num_slots);
+  for (std::size_t k = 0; k < num_slots; ++k) {
+    utils[k] = slot_utilization[by_active[k]];
+  }
+  std::vector<double> norm(num_slots);
+  std::vector<double> power(num_slots, 0.0);
   const std::span<const double> peak_watts = fleet.peak_watts();
-  std::vector<std::size_t> slots_on;
-  std::vector<double> utils;
-  std::vector<double> norm;
-  slots_on.reserve(num_slots);
-  utils.reserve(num_slots);
-  norm.reserve(num_slots);
+  std::size_t awake = num_slots;
+  // Rows ahead of the walk are fetched early: order[] jumps around the
+  // fleet, so the hardware prefetcher cannot follow it.
+  constexpr std::size_t kPrefetchAhead = 16;
   for (std::size_t j = 0; j < n; ++j) {
-    slots_on.clear();
-    utils.clear();
-    for (std::size_t s = 0; s < num_slots; ++s) {
-      if (static_cast<std::size_t>(result.slots[s].active_servers) > j) {
-        slots_on.push_back(s);
-        utils.push_back(slot_utilization[s]);
-      }
+    while (awake > 0 &&
+           static_cast<std::size_t>(
+               result.slots[by_active[awake - 1]].active_servers) <= j) {
+      --awake;
     }
-    if (slots_on.empty()) continue;
-    norm.resize(slots_on.size());
-    fleet.normalized_power_batch(order[j], utils, norm);
+    if (awake == 0) break;
+    if (j + kPrefetchAhead < n) {
+      const auto ahead = fleet.grid_row(order[j + kPrefetchAhead]);
+      __builtin_prefetch(ahead.w0);
+      __builtin_prefetch(ahead.m);
+    }
+    fleet.normalized_power_batch(order[j],
+                                 std::span<const double>(utils.data(), awake),
+                                 std::span<double>(norm.data(), awake));
     const double watts = peak_watts[order[j]];
-    for (std::size_t k = 0; k < slots_on.size(); ++k) {
-      result.slots[slots_on[k]].power_watts += norm[k] * watts;
-    }
+    for (std::size_t k = 0; k < awake; ++k) power[k] += norm[k] * watts;
+  }
+  for (std::size_t k = 0; k < num_slots; ++k) {
+    result.slots[by_active[k]].power_watts = power[k];
   }
 
   // Pass 3 — energy/served accounting in slot order (the legacy per-slot

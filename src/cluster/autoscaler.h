@@ -41,11 +41,13 @@ struct AutoscaleResult {
 };
 
 /// Runs the autoscaler over a demand trace against a prebuilt Fleet. Servers
-/// are ordered by overall EE (best first) and the active prefix serves the
+/// are ordered by overall EE (best first; the fleet's cached
+/// Fleet::OrderKey::kOverallScore order) and the active prefix serves the
 /// demand, each active machine at min(1, demand_ops / active_capacity).
 /// Power is accounted server-major through the fleet's cached interpolation
 /// tables: one batched evaluation per server covers every slot it is active
-/// in. Fails on an empty trace or an out-of-range target.
+/// in. Fails on an empty trace, an out-of-range target, or a slot demand
+/// outside [0, 1] (NaN included).
 epserve::Result<AutoscaleResult> autoscale_over_day(
     const Fleet& fleet, const DemandTrace& trace,
     const AutoscalerConfig& config = {});

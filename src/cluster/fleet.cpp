@@ -1,7 +1,9 @@
 #include "cluster/fleet.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "cluster/working_region.h"
@@ -173,11 +175,34 @@ void Fleet::normalized_power_per_server(std::span<const double> utils,
   telemetry::count("kernel.batch_points", utils.size());
 }
 
+std::span<const std::size_t> Fleet::order(OrderKey key) const {
+  OrderCache& cache = (*orders_)[static_cast<std::size_t>(key)];
+  std::call_once(cache.built, [&] {
+    // Root scope: the path stays `fleet.order` whichever caller (policy,
+    // autoscaler, serve request, thread) happens to sort first.
+    const telemetry::Span span("fleet.order", telemetry::Span::Scope::kRoot);
+    telemetry::count("fleet.order_builds");
+    const std::span<const double> score =
+        key == OrderKey::kEeAtFull ? ee_at_full()
+        : key == OrderKey::kPeakEe ? peak_ee_value()
+                                   : overall_score();
+    cache.order.resize(size());
+    std::iota(cache.order.begin(), cache.order.end(), std::size_t{0});
+    std::sort(cache.order.begin(), cache.order.end(),
+              [&](std::size_t a, std::size_t b) {
+                if (score[a] != score[b]) return score[a] > score[b];
+                return ids_[a] < ids_[b];
+              });
+  });
+  return cache.order;
+}
+
 std::vector<double> Fleet::optimal_region_tops(double ee_threshold) const {
+  const std::span<const double> peak = peak_ee_value();
   std::vector<double> tops;
   tops.reserve(size());
   for (std::size_t i = 0; i < size(); ++i) {
-    const Region region = optimal_region(curve(i), ee_threshold);
+    const Region region = optimal_region(curve(i), peak[i], ee_threshold);
     tops.push_back(region.empty() ? 1.0 : region.hi);
   }
   return tops;

@@ -25,9 +25,21 @@
 // Lifetime: a build() fleet *views* the caller's records (like
 // AnalysisContext views its repository) — it must not outlive the vector it
 // was built from. A Builder fleet owns its curve column instead.
+//
+// Server orders: the placement policies and the autoscaler walk the fleet
+// best-first by a score column. order(key) sorts that column once, on first
+// use (std::call_once, so concurrent first callers build it exactly once),
+// and every later call reads the cached permutation. The cache is a pure
+// function of the immutable columns — the same comparator and the same
+// std::sort on identical input give the identical permutation, ties
+// included — so it never needs invalidating, and it travels with the Fleet
+// when the Fleet is moved. Fleets are move-only.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -42,6 +54,13 @@ namespace epserve::cluster {
 
 class Fleet {
  public:
+  /// The score columns a cached server order can follow (see order()).
+  enum class OrderKey {
+    kEeAtFull,      // ee_at_full(): PackToFullPolicy
+    kPeakEe,        // peak_ee_value(): OptimalRegionPolicy
+    kOverallScore,  // overall_score(): autoscale_over_day
+  };
+
   /// Validated build: fails on an empty fleet ("fleet is empty") or on the
   /// first record whose measurement sheet fails PowerCurve::validate()
   /// ("server N: ..."). Views `servers` without copying their curves.
@@ -103,6 +122,12 @@ class Fleet {
     return ee_at_full_;
   }
 
+  /// Server indices ordered by `key`'s column descending, record id
+  /// ascending on equal scores. Sorted on the first call per key (one
+  /// `fleet.order` span and one `fleet.order_builds` count), cached after;
+  /// safe to call from any number of threads.
+  [[nodiscard]] std::span<const std::size_t> order(OrderKey key) const;
+
   // --- Batch power kernels --------------------------------------------------
   /// normalized_power of server `i`, evaluated against its cached table —
   /// bitwise identical to curve(i).normalized_power(u).
@@ -162,6 +187,12 @@ class Fleet {
   // Only build() and Builder construct fleets.
   Fleet() = default;
 
+  struct OrderCache {
+    std::once_flag built;
+    std::vector<std::size_t> order;
+  };
+  static constexpr std::size_t kOrderKeys = 3;
+
   /// The one per-row assembly routine build() and Builder share: id,
   /// interpolation table, grid row, EE at full load and the aggregates.
   void append_row(const dataset::ServerRecord& server);
@@ -180,6 +211,10 @@ class Fleet {
   util::AlignedVector<double> grid_inv_peak_;  // [size]
   double capacity_ops_ = 0.0;
   double total_idle_watts_ = 0.0;
+  // Lazily sorted orders, one per OrderKey. Heap-held because once_flag
+  // cannot move; the pointer moves with the Fleet.
+  std::unique_ptr<std::array<OrderCache, kOrderKeys>> orders_ =
+      std::make_unique<std::array<OrderCache, kOrderKeys>>();
 };
 
 /// Streaming fleet assembly for chunk-emitting generators

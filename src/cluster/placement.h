@@ -8,9 +8,10 @@
 // region, e.g. at 70% rather than packed full) maximises throughput per watt.
 //
 // The engine is batch-first over a cluster::Fleet: a policy's core entry
-// point is place_batch(fleet, demands), so demand-independent work (ordering
-// servers by an efficiency score, computing working-region caps) happens once
-// per batch instead of once per demand point, and all power accounting runs
+// point is place_batch(fleet, demands), so demand-independent work happens
+// once per batch instead of once per demand point (working-region caps) or
+// once per fleet (ordering servers by an efficiency score: Fleet::order),
+// and all power accounting runs
 // through the fleet's cached interpolation tables. Callers holding raw
 // std::vector<ServerRecord> data convert once at the call boundary via
 // Fleet::build, which validates — every entry point here takes
@@ -50,8 +51,9 @@ class PlacementPolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Batch-first core: one utilisation vector (ops summing to
-  /// demand * capacity) per demand point. Demand-independent state (sort
-  /// orders, region caps) is computed once for the whole batch.
+  /// demand * capacity) per demand point. Demand-independent state is
+  /// computed once for the whole batch (region caps) or read off the
+  /// fleet's cached orders (Fleet::order).
   [[nodiscard]] virtual std::vector<std::vector<double>> place_batch(
       const Fleet& fleet, std::span<const double> demands) const = 0;
 
@@ -93,7 +95,7 @@ class OptimalRegionPolicy final : public PlacementPolicy {
 
 /// Evaluates a policy: computes utilisations, per-curve powers (linear
 /// interpolation on the measured sheets; active idle at utilisation 0) and
-/// the achieved throughput. Fails if demand is out of [0, 1].
+/// the achieved throughput. Fails if demand is out of [0, 1] or NaN.
 epserve::Result<Assignment> evaluate(const PlacementPolicy& policy,
                                      const Fleet& fleet, double demand);
 

@@ -16,8 +16,12 @@ Region intersect(const Region& a, const Region& b) {
 }
 
 Region optimal_region(const metrics::PowerCurve& curve, double threshold) {
+  return optimal_region(curve, metrics::peak_ee(curve).value, threshold);
+}
+
+Region optimal_region(const metrics::PowerCurve& curve, double peak,
+                      double threshold) {
   EPSERVE_EXPECTS(threshold > 0.0 && threshold <= 1.0);
-  const double peak = metrics::peak_ee(curve).value;
   const double cut = peak * threshold;
 
   // EE as a piecewise-linear function through (0, 0) and the ten levels.

@@ -35,6 +35,12 @@ Region intersect(const Region& a, const Region& b);
 Region optimal_region(const metrics::PowerCurve& curve,
                       double threshold = 0.95);
 
+/// optimal_region() with the curve's peak per-level EE supplied by the
+/// caller (e.g. Fleet's peak_ee_value column) instead of recomputed; equal
+/// to the two-argument form when `peak` is metrics::peak_ee(curve).value.
+Region optimal_region(const metrics::PowerCurve& curve, double peak,
+                      double threshold);
+
 /// A logical cluster: servers grouped by EP bucket whose shared (overlapped)
 /// optimal region is non-empty (paper §V.C's grouping procedure).
 struct LogicalCluster {

@@ -87,8 +87,8 @@ struct ThreadBuffer {
       merged.count += acc.count;
       merged.ns += acc.ns;
     }
-    for (const auto& [path, acc] : spans) {
-      auto& merged = slot(table.spans, path);
+    for (const auto& [span_path, acc] : spans) {
+      auto& merged = slot(table.spans, span_path);
       merged.count += acc.count;
       merged.ns += acc.ns;
       merged.threads.insert(id);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "metrics/curve_models.h"
 
 namespace epserve::cluster {
@@ -121,6 +123,14 @@ TEST(Autoscaler, RejectsBadInputs) {
   DemandTrace out_of_range;
   out_of_range.demand = {1.5};
   EXPECT_FALSE(autoscale_over_day(Fleet::build(fleet()).value(), out_of_range).ok());
+}
+
+TEST(Autoscaler, RejectsNanDemandSlot) {
+  auto trace = make_trace("diurnal").value();
+  trace.demand[7] = std::numeric_limits<double>::quiet_NaN();
+  const auto result = autoscale_over_day(Fleet::build(fleet()).value(), trace);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().message, "trace demand outside [0, 1]");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 
 #include "dataset/generator.h"
@@ -80,6 +81,16 @@ TEST(SimulateDay, RejectsEmptyTraceAndBadSlot) {
   bad.demand = {0.5};
   bad.slot_hours = 0.0;
   EXPECT_FALSE(simulate_day(policy, Fleet::build(f).value(), bad).ok());
+}
+
+TEST(SimulateDay, RejectsNanDemandSlot) {
+  const auto f = fleet();
+  const PackToFullPolicy policy;
+  auto trace = make_trace("diurnal").value();
+  trace.demand[7] = std::numeric_limits<double>::quiet_NaN();
+  const auto day = simulate_day(policy, Fleet::build(f).value(), trace);
+  ASSERT_FALSE(day.ok());
+  EXPECT_EQ(day.error().message, "demand must be in [0, 1]");
 }
 
 TEST(CompareOverDay, ReturnsAllThreePolicies) {

@@ -4,17 +4,22 @@
 // record-at-a-time arithmetic bitwise (reimplemented here as the scalar
 // reference), at fleet sizes 1/100/5000, for build() and streamed Builder
 // fleets alike, and from 1 or 8 threads sharing one built Fleet (run under
-// -DEPSERVE_SANITIZE=thread via `ctest -L parallel`).
+// -DEPSERVE_SANITIZE=thread via `ctest -L parallel`). The lazily cached
+// server orders must equal a fresh per-call sort, ties included, and be
+// built exactly once however many threads race to first use them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <functional>
+#include <latch>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <thread>
+#include <utility>
 
 #include "cluster/autoscaler.h"
 #include "cluster/day_simulation.h"
@@ -392,6 +397,131 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FleetEquivalence,
                          ::testing::Values(std::size_t{1}, std::size_t{100},
                                            std::size_t{5000}));
 
+// --- Cached server orders at 1 / 100 / 5000 servers ------------------------
+
+/// make_fleet(size) with every third record copied over its successor (same
+/// curve, same id): equal (score, id) pairs the comparator cannot order.
+std::vector<dataset::ServerRecord> make_fleet_with_duplicates(
+    std::size_t size) {
+  auto records = make_fleet(size);
+  for (std::size_t i = 0; i + 1 < records.size(); i += 3) {
+    records[i + 1] = records[i];
+  }
+  return records;
+}
+
+class FleetOrder : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FleetOrder, MatchesPerCallSortIncludingTies) {
+  const auto records = make_fleet_with_duplicates(GetParam());
+  auto built = Fleet::build(records);
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  Fleet fleet = std::move(built).take();
+  using Score = std::function<double(const dataset::ServerRecord&)>;
+  const std::pair<Fleet::OrderKey, Score> keys[] = {
+      {Fleet::OrderKey::kEeAtFull,
+       [](const auto& r) {
+         return metrics::ee_at_level(r.curve, metrics::kNumLoadLevels - 1);
+       }},
+      {Fleet::OrderKey::kPeakEe,
+       [](const auto& r) { return metrics::peak_ee(r.curve).value; }},
+      {Fleet::OrderKey::kOverallScore,
+       [](const auto& r) { return metrics::overall_score(r.curve); }},
+  };
+  std::vector<const std::size_t*> storage;
+  for (const auto& [key, score] : keys) {
+    const auto expected = reference_order(records, score);
+    const auto cached = fleet.order(key);
+    storage.push_back(cached.data());
+    ASSERT_EQ(std::vector<std::size_t>(cached.begin(), cached.end()),
+              expected);
+    if (GetParam() > 1) {
+      // The fleet really holds ties the id cannot break.
+      std::size_t ties = 0;
+      for (std::size_t k = 1; k < expected.size(); ++k) {
+        const auto& a = records[expected[k - 1]];
+        const auto& b = records[expected[k]];
+        if (score(a) == score(b) && a.id == b.id) ++ties;
+      }
+      EXPECT_GT(ties, 0u);
+    }
+    EXPECT_EQ(fleet.order(key).data(), cached.data());  // served from cache
+  }
+  // The cache travels with a move: no re-sort, same storage.
+  const Fleet moved = std::move(fleet);
+  for (std::size_t k = 0; k < std::size(keys); ++k) {
+    EXPECT_EQ(moved.order(keys[k].first).data(), storage[k]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, FleetOrder,
+                         ::testing::Values(std::size_t{1}, std::size_t{100},
+                                           std::size_t{5000}));
+
+// --- Autoscaler slot power against its definition --------------------------
+
+class AutoscalerOracle : public ::testing::TestWithParam<std::size_t> {};
+
+/// Slot power is, by definition, the sum over prefix positions j <
+/// active_servers, in ascending j, of normalized_power(order[j], u_s) *
+/// peak_watts, where u_s spreads the slot's demand over the active prefix.
+/// flash_crowd and weekly at hysteresis 0 and 3 give active counts that
+/// fall as well as rise and repeat across slots.
+TEST_P(AutoscalerOracle, SlotPowersMatchTheDefinition) {
+  const auto records = make_fleet(GetParam());
+  const Fleet fleet = Fleet::build(records).take();
+  const auto order = reference_order(records, [](const auto& r) {
+    return metrics::overall_score(r.curve);
+  });
+  std::vector<double> prefix(records.size() + 1, 0.0);
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    prefix[k + 1] = prefix[k] + records[order[k]].curve.peak_ops();
+  }
+  for (const char* name : {"flash_crowd", "weekly"}) {
+    const auto trace = make_trace(name).value();
+    for (const int hysteresis : {0, 3}) {
+      AutoscalerConfig config;
+      config.hysteresis_servers = hysteresis;
+      const auto result = autoscale_over_day(fleet, trace, config);
+      ASSERT_TRUE(result.ok()) << result.error().message;
+      const auto& slots = result.value().slots;
+      ASSERT_EQ(slots.size(), trace.demand.size());
+      bool fell = false;
+      std::vector<int> counts;
+      for (std::size_t s = 0; s < slots.size(); ++s) {
+        const auto active = static_cast<std::size_t>(slots[s].active_servers);
+        ASSERT_LE(active, records.size());
+        const double demand_ops = trace.demand[s] * fleet.capacity_ops();
+        const double u = prefix[active] > 0.0
+                             ? std::min(1.0, demand_ops / prefix[active])
+                             : 0.0;
+        double power = 0.0;
+        for (std::size_t j = 0; j < active; ++j) {
+          const auto& curve = records[order[j]].curve;
+          power += curve.normalized_power(u) * curve.peak_watts();
+        }
+        EXPECT_EQ(slots[s].power_watts, power)
+            << name << " hysteresis " << hysteresis << " slot " << s;
+        if (s > 0) {
+          fell |= slots[s].active_servers < slots[s - 1].active_servers;
+        }
+        if (active > 0) counts.push_back(slots[s].active_servers);
+      }
+      if (GetParam() > 1) {
+        std::sort(counts.begin(), counts.end());
+        const bool tied =
+            std::adjacent_find(counts.begin(), counts.end()) != counts.end();
+        EXPECT_TRUE(fell) << name << " hysteresis " << hysteresis;
+        EXPECT_TRUE(tied) << name << " hysteresis " << hysteresis;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, AutoscalerOracle,
+                         ::testing::Values(std::size_t{1}, std::size_t{100},
+                                           std::size_t{5000}));
+
 // --- Concurrency: 8 threads share one built Fleet ---------------------------
 
 TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
@@ -434,6 +564,76 @@ TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
   const auto* builds = snap.find_counter("fleet.builds");
   ASSERT_NE(builds, nullptr);
   EXPECT_EQ(builds->value, 1u);
+  telemetry::reset();
+}
+
+/// The three policies that walk a cached order, run together.
+struct OrderedDay {
+  DayResult pack;
+  DayResult optimal;
+  AutoscaleResult scaled;
+};
+
+std::optional<OrderedDay> run_ordered_day(const Fleet& fleet,
+                                          const DemandTrace& trace) {
+  const PackToFullPolicy pack;
+  const OptimalRegionPolicy optimal;
+  auto pack_day = simulate_day(pack, fleet, trace);
+  auto optimal_day = simulate_day(optimal, fleet, trace);
+  auto scaled = autoscale_over_day(fleet, trace);
+  if (!pack_day.ok() || !optimal_day.ok() || !scaled.ok()) return std::nullopt;
+  return OrderedDay{std::move(pack_day).take(), std::move(optimal_day).take(),
+                    std::move(scaled).take()};
+}
+
+TEST(FleetConcurrency, EightThreadsBuildEachOrderOnce) {
+  const auto records = make_fleet(500);
+  const auto trace = make_trace("diurnal").value();
+  const auto baseline = run_ordered_day(Fleet::build(records).value(), trace);
+  ASSERT_TRUE(baseline.has_value());
+
+  telemetry::reset();
+  telemetry::set_enabled(true);
+  {
+    const auto built = Fleet::build(records);
+    ASSERT_TRUE(built.ok()) << built.error().message;
+    const Fleet& shared = built.value();  // no order built yet
+    constexpr int kThreads = 8;
+    std::vector<std::optional<OrderedDay>> per_thread(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();  // race to first use of every order
+        per_thread[static_cast<std::size_t>(t)] =
+            run_ordered_day(shared, trace);
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (const auto& run : per_thread) {
+      ASSERT_TRUE(run.has_value());
+      EXPECT_EQ(run->pack.energy_kwh, baseline->pack.energy_kwh);
+      EXPECT_EQ(run->pack.served_gops, baseline->pack.served_gops);
+      EXPECT_EQ(run->optimal.energy_kwh, baseline->optimal.energy_kwh);
+      EXPECT_EQ(run->optimal.served_gops, baseline->optimal.served_gops);
+      EXPECT_EQ(run->scaled.energy_kwh, baseline->scaled.energy_kwh);
+      EXPECT_EQ(run->scaled.served_gops, baseline->scaled.served_gops);
+      ASSERT_EQ(run->scaled.slots.size(), baseline->scaled.slots.size());
+      for (std::size_t s = 0; s < run->scaled.slots.size(); ++s) {
+        EXPECT_EQ(run->scaled.slots[s].power_watts,
+                  baseline->scaled.slots[s].power_watts);
+      }
+    }
+  }
+  const auto snap = telemetry::snapshot();
+  telemetry::set_enabled(false);
+  const auto* order_builds = snap.find_counter("fleet.order_builds");
+  ASSERT_NE(order_builds, nullptr);
+  EXPECT_EQ(order_builds->value, 3u);
+  const auto* order_span = snap.find_span("fleet.order");
+  ASSERT_NE(order_span, nullptr);
+  EXPECT_EQ(order_span->count, 3u);
   telemetry::reset();
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 
 #include "cluster/placement.h"
 #include "cluster/working_region.h"
@@ -207,6 +208,22 @@ TEST(Placement, RejectsEmptyFleetAndBadDemand) {
   const auto fleet = small_fleet();
   EXPECT_FALSE(evaluate(pack, Fleet::build(fleet).value(), -0.1).ok());
   EXPECT_FALSE(evaluate(pack, Fleet::build(fleet).value(), 1.1).ok());
+}
+
+TEST(Placement, RejectsNanDemand) {
+  // NaN fails every ordered comparison, so a `demand < 0 || demand > 1`
+  // test lets it through to be charged as some arbitrary load.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const PackToFullPolicy pack;
+  const auto records = small_fleet();
+  const Fleet fleet = Fleet::build(records).take();
+  const auto single = evaluate(pack, fleet, nan);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.error().message, "demand must be in [0, 1]");
+  const std::array<double, 3> demands{0.2, nan, 0.6};
+  const auto batch = evaluate_batch(pack, fleet, demands);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.error().message, "demand must be in [0, 1]");
 }
 
 // --- Cluster-wide EP ----------------------------------------------------------------------

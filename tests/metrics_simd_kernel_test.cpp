@@ -173,9 +173,9 @@ TEST(UniformGridTable, BatchMatchesScalarEvaluate) {
 
 TEST(UniformGridTable, RejectsOutOfRangeUtilization) {
   const auto grid = UniformGridTable::from_curve(make_default_curve());
-  EXPECT_THROW(grid.evaluate(-0.001), ContractViolation);
-  EXPECT_THROW(grid.evaluate(1.001), ContractViolation);
-  EXPECT_THROW(grid.evaluate(std::numeric_limits<double>::quiet_NaN()),
+  EXPECT_THROW((void)grid.evaluate(-0.001), ContractViolation);
+  EXPECT_THROW((void)grid.evaluate(1.001), ContractViolation);
+  EXPECT_THROW((void)grid.evaluate(std::numeric_limits<double>::quiet_NaN()),
                ContractViolation);
   const std::vector<double> bad = {0.5, 0.2, 1.5, 0.1};
   std::vector<double> out(bad.size());
