@@ -8,14 +8,14 @@
 //                 peak_ee), recomputes every optimal region, and walks each
 //                 server's power curve through scalar normalized_power().
 //   fleet       — compare_policies_over_day(Fleet, trace): one Fleet build
-//                 amortises the sort keys, region tops, and interpolation
-//                 tables; power lookups go through the batch kernels.
-//   fleet build — Fleet::build alone (snapshot + derived columns + tables),
+//                 amortises the sort keys, region tops, and per-server grid
+//                 rows; power lookups go through the batch kernels.
+//   fleet build — Fleet::build alone (snapshot + derived columns + grid rows),
 //                 rebuilt per iteration. Reported, not gated: callers build
 //                 once per fleet.
 //
 // The batch power kernel is also timed on its own (docs/KERNELS.md): the
-// whole-fleet normalized-power evaluation through the pre-SIMD table walk
+// whole-fleet normalized-power evaluation through the plain scalar loop
 // (kScalarReference) vs the dispatched grid/SIMD kernel, byte-comparing the
 // outputs, with a separate 4x gate — so end-to-end wins (dominated by the
 // placement sort/fill) cannot mask a kernel regression, and vice versa.
@@ -232,7 +232,7 @@ int main() {
     if (!rebuilt.ok()) std::exit(1);
   });
 
-  // --- batch-kernel phase: pre-SIMD table walk vs the dispatched kernel ----
+  // --- batch-kernel phase: plain scalar loop vs the dispatched kernel -------
   // The day simulation's inner kernel shape: normalized power of every
   // server at all 24 diurnal slots, issued as the same blocked
   // normalized_power_matrix calls evaluate_batch makes (server-major rows,
@@ -312,7 +312,7 @@ int main() {
 
   TextTable kernel_table;
   kernel_table.columns({"batch power kernel", "ns/point", "speedup"});
-  kernel_table.row({"table walk (scalar reference)",
+  kernel_table.row({"plain loop (scalar reference)",
                     format_fixed(1e9 * kernel_scalar_s / kernel_points, 3),
                     "1.00x"});
   kernel_table.row({std::string("dispatched (") +

@@ -287,8 +287,9 @@ int cmd_generate(int argc, const char* const* argv) {
   dataset::ScaledConfig config;
   config.servers = servers;
   if (seed != kSeedAbsent) config.seed = seed;
-  // Chunks stream straight to disk: peak memory is one chunk of records,
-  // whatever the population size (docs/COLUMNAR.md "Streaming").
+  // Chunks stream straight to disk: peak memory is two chunks of records
+  // (one being written, one being generated), whatever the population size
+  // (docs/COLUMNAR.md "Streaming").
   std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "cannot open for writing: %s\n", out_path.c_str());

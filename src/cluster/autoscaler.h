@@ -44,9 +44,8 @@ struct AutoscaleResult {
 /// are ordered by overall EE (best first; the fleet's cached
 /// Fleet::OrderKey::kOverallScore order) and the active prefix serves the
 /// demand, each active machine at min(1, demand_ops / active_capacity).
-/// Power is accounted server-major through the fleet's cached interpolation
-/// tables: one batched evaluation per server covers every slot it is active
-/// in. Fails on an empty trace, an out-of-range target, or a slot demand
+/// Power is accounted server-major through the fleet's grid rows: one
+/// batched evaluation per server covers every slot it is active in. Fails on an empty trace, an out-of-range target, or a slot demand
 /// outside [0, 1] (NaN included).
 epserve::Result<AutoscaleResult> autoscale_over_day(
     const Fleet& fleet, const DemandTrace& trace,

@@ -31,8 +31,8 @@ Result<DayResult> simulate_day(const PlacementPolicy& policy,
   telemetry::count("cluster.day.slots", trace.demand.size());
   DayResult result;
   result.policy = policy.name();
-  // One batched evaluation for the whole trace: the fleet's cached
-  // interpolation tables serve every (server, slot) pair.
+  // One batched evaluation for the whole trace: the fleet's grid rows serve
+  // every (server, slot) pair.
   auto assignments = evaluate_batch(policy, fleet, trace.demand);
   if (!assignments.ok()) return assignments.error();
   for (const auto& assignment : assignments.value()) {

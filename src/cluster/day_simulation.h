@@ -37,7 +37,7 @@ struct DayResult {
 };
 
 /// Runs the trace under a policy against a prebuilt Fleet — the whole day is
-/// one evaluate_batch over the fleet's cached tables, recorded under the
+/// one evaluate_batch over the fleet's grid rows, recorded under the
 /// `cluster/policy/<name>` root telemetry span. Fails on an empty trace or
 /// demand outside [0, 1].
 ///

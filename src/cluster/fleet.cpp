@@ -50,11 +50,11 @@ epserve::Result<Fleet> finish_assembly(std::size_t servers,
 
 void Fleet::append_row(const dataset::ServerRecord& server) {
   ids_.push_back(server.id);
-  tables_.push_back(server.curve.interpolation_table());
-  // The grid row is the table's own knot watts and slopes, copied
-  // bit-for-bit, so grid evaluation and the knot walk run the identical
-  // expression on identical inputs.
-  const auto& table = tables_.back();
+  // The grid row is the interpolation table's own knot watts and slopes,
+  // copied bit-for-bit (its knot utilisations are kRowU0), so grid
+  // evaluation and the knot walk run the identical expression on identical
+  // inputs.
+  const auto table = server.curve.interpolation_table();
   for (std::size_t seg = 0; seg < kRowBins; ++seg) {
     grid_w0_.push_back(table.knot_watts[seg]);
     grid_m_.push_back(table.slope[seg]);
@@ -76,7 +76,6 @@ epserve::Result<Fleet> Fleet::build(
     fleet.servers_ = servers;
     fleet.snapshot_ = dataset::ColumnarSnapshot::build(servers);
     fleet.ids_.reserve(servers.size());
-    fleet.tables_.reserve(servers.size());
     fleet.ee_at_full_.reserve(servers.size());
     fleet.grid_w0_.reserve(servers.size() * kRowBins);
     fleet.grid_m_.reserve(servers.size() * kRowBins);
@@ -88,6 +87,7 @@ epserve::Result<Fleet> Fleet::build(
 
 epserve::Result<bool> Fleet::Builder::append(
     std::span<const dataset::ServerRecord> chunk) {
+  const telemetry::Span span("fleet.append");
   if (auto valid = validate_curves(chunk); !valid.ok()) {
     return valid.error();
   }
@@ -98,6 +98,7 @@ epserve::Result<bool> Fleet::Builder::append(
     fleet_.curves_.push_back(server.curve);
     fleet_.append_row(server);
   }
+  telemetry::count("fleet.append_rows", chunk.size());
   return true;
 }
 
@@ -106,15 +107,6 @@ epserve::Result<Fleet> Fleet::Builder::finish() {
     fleet_.snapshot_ = snapshot_builder_.finish();
     return std::move(fleet_);
   });
-}
-
-metrics::kernels::FleetGridView Fleet::grid_view() const {
-  metrics::kernels::FleetGridView view;
-  view.w0 = grid_w0_.data();
-  view.m = grid_m_.data();
-  view.inv_peak = grid_inv_peak_.data();
-  view.servers = grid_inv_peak_.size();
-  return view;
 }
 
 metrics::kernels::GridView Fleet::grid_row(std::size_t i) const {
@@ -131,13 +123,8 @@ metrics::kernels::GridView Fleet::grid_row(std::size_t i) const {
 void Fleet::normalized_power_batch(std::size_t i, std::span<const double> utils,
                                    std::span<double> out) const {
   EPSERVE_EXPECTS(utils.size() == out.size());
-  const metrics::kernels::Kernels& kernel = metrics::kernels::active();
-  if (kernel.variant == metrics::kernels::Variant::kScalarReference) {
-    metrics::PowerCurve::normalized_power_batch_from_table(tables_[i], utils,
-                                                           out);
-    return;
-  }
-  kernel.row_batch(grid_view(), i, utils.data(), out.data(), utils.size());
+  metrics::kernels::active().row_batch(grid_view(), i, utils.data(),
+                                       out.data(), utils.size());
   telemetry::count("kernel.batch_points", utils.size());
 }
 
@@ -147,31 +134,16 @@ void Fleet::normalized_power_matrix(std::size_t i0, std::size_t count,
                                     std::size_t slots) const {
   EPSERVE_EXPECTS(i0 + count <= size());
   EPSERVE_EXPECTS(utils.size() == count * slots && out.size() == utils.size());
-  const metrics::kernels::Kernels& kernel = metrics::kernels::active();
-  if (kernel.variant == metrics::kernels::Variant::kScalarReference) {
-    for (std::size_t r = 0; r < count; ++r) {
-      metrics::PowerCurve::normalized_power_batch_from_table(
-          tables_[i0 + r], utils.subspan(r * slots, slots),
-          out.subspan(r * slots, slots));
-    }
-    return;
-  }
-  kernel.row_matrix(grid_view(), i0, count, utils.data(), out.data(), slots);
+  metrics::kernels::active().row_matrix(grid_view(), i0, count, utils.data(),
+                                        out.data(), slots);
   telemetry::count("kernel.batch_points", utils.size());
 }
 
 void Fleet::normalized_power_per_server(std::span<const double> utils,
                                         std::span<double> out) const {
   EPSERVE_EXPECTS(utils.size() == size() && out.size() == size());
-  const metrics::kernels::Kernels& kernel = metrics::kernels::active();
-  if (kernel.variant == metrics::kernels::Variant::kScalarReference) {
-    for (std::size_t i = 0; i < size(); ++i) {
-      out[i] = metrics::PowerCurve::normalized_power_from_table(tables_[i],
-                                                                utils[i]);
-    }
-    return;
-  }
-  kernel.fleet_batch(grid_view(), utils.data(), out.data());
+  metrics::kernels::active().fleet_batch(grid_view(), utils.data(),
+                                         out.data());
   telemetry::count("kernel.batch_points", utils.size());
 }
 

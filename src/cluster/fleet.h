@@ -7,15 +7,18 @@
 // each subsystem (placement, day simulation, autoscaler, knightshift, power
 // cap, working regions, operating guide) walked its own
 // std::vector<ServerRecord> copy record by record. A Fleet is built once —
-// columnar snapshot (dataset::ColumnarSnapshot) plus one cached
-// PowerCurve::InterpolationTable per server and the fleet-level aggregates —
-// and then shared, read-only, across every policy, slot, and thread.
+// columnar snapshot (dataset::ColumnarSnapshot) plus one native-resolution
+// grid row per server (the ten knot segments' watts and slopes and the
+// inverse peak, copied bit-for-bit from the curve's interpolation table) and
+// the fleet-level aggregates — and then shared, read-only, across every
+// policy, slot, and thread.
 //
 // Determinism contract (docs/CLUSTER.md): every column is a bitwise copy of
-// the corresponding per-record computation, and the table kernel is the same
-// one PowerCurve::normalized_power runs, so anything evaluated through a
-// Fleet is byte-identical to the legacy record-at-a-time path (pinned by
-// tests/cluster_fleet_test.cpp at fleet sizes 1/100/5000, 1 and 8 threads).
+// the corresponding per-record computation, and every evaluation path runs
+// PowerCurve::normalized_power's expression term for term over the grid
+// rows, so anything evaluated through a Fleet is byte-identical to the
+// legacy record-at-a-time path (pinned by tests/cluster_fleet_test.cpp at
+// fleet sizes 1/100/5000, 1 and 8 threads, under every kernel variant).
 //
 // Construction: build() and Builder are the only ways to make a Fleet, and
 // both validate, so every Fleet is non-empty and every curve passed
@@ -46,6 +49,7 @@
 #include "dataset/columnar.h"
 #include "dataset/record.h"
 #include "metrics/power_curve.h"
+#include "metrics/simd/grid_eval.h"
 #include "metrics/simd/kernels.h"
 #include "util/aligned.h"
 #include "util/result.h"
@@ -73,7 +77,7 @@ class Fleet {
   class Builder;
 
   /// Number of servers (never zero: both constructors reject empty fleets).
-  [[nodiscard]] std::size_t size() const { return tables_.size(); }
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
 
   /// Record id of server i (the placement/autoscaler ordering tiebreak).
   [[nodiscard]] std::int32_t server_id(std::size_t i) const { return ids_[i]; }
@@ -129,17 +133,17 @@ class Fleet {
   [[nodiscard]] std::span<const std::size_t> order(OrderKey key) const;
 
   // --- Batch power kernels --------------------------------------------------
-  /// normalized_power of server `i`, evaluated against its cached table —
-  /// bitwise identical to curve(i).normalized_power(u).
+  /// normalized_power of server `i`, evaluated inline over its grid row —
+  /// bitwise identical to curve(i).normalized_power(u). Same precondition:
+  /// utilization in [0, 1] (ContractViolation otherwise).
   [[nodiscard]] double normalized_power(std::size_t i, double utilization) const {
-    return metrics::PowerCurve::normalized_power_from_table(tables_[i],
-                                                            utilization);
+    return metrics::kernels::detail::fleet_eval_checked(grid_view(), i,
+                                                        utilization);
   }
   /// Batched variant: out[k] = normalized_power(i, utils[k]). Dispatches
-  /// through metrics::kernels::active(): the server's native-resolution grid
-  /// row under the grid/SIMD variants (bitwise identical to the knot walk —
-  /// docs/KERNELS.md), the pinned PowerCurve table path under
-  /// kScalarReference (EPSERVE_FORCE_SCALAR=1).
+  /// through metrics::kernels::active() over the server's grid row; every
+  /// variant, kScalarReference (EPSERVE_FORCE_SCALAR=1) included, is bitwise
+  /// identical to the knot walk (docs/KERNELS.md).
   void normalized_power_batch(std::size_t i, std::span<const double> utils,
                               std::span<double> out) const;
 
@@ -163,8 +167,15 @@ class Fleet {
 
   /// The fleet's grid columns at native knot resolution (ten bins per
   /// server, 32-byte aligned, row i at i * kRowBins), built once at
-  /// construction for the SIMD kernels.
-  [[nodiscard]] metrics::kernels::FleetGridView grid_view() const;
+  /// construction — the one evaluation state every kernel reads.
+  [[nodiscard]] metrics::kernels::FleetGridView grid_view() const {
+    metrics::kernels::FleetGridView view;
+    view.w0 = grid_w0_.data();
+    view.m = grid_m_.data();
+    view.inv_peak = grid_inv_peak_.data();
+    view.servers = grid_inv_peak_.size();
+    return view;
+  }
 
   /// Server i's grid row as a single-curve kernel view (scale 10, the
   /// shared kRowU0 knot column).
@@ -193,19 +204,18 @@ class Fleet {
   };
   static constexpr std::size_t kOrderKeys = 3;
 
-  /// The one per-row assembly routine build() and Builder share: id,
-  /// interpolation table, grid row, EE at full load and the aggregates.
+  /// The one per-row assembly routine build() and Builder share: id, grid
+  /// row, EE at full load and the aggregates.
   void append_row(const dataset::ServerRecord& server);
 
   std::span<const dataset::ServerRecord> servers_;  // build() fleets only
   dataset::ColumnarSnapshot snapshot_;
   std::vector<std::int32_t> ids_;  // always populated (digest, tiebreaks)
   std::vector<metrics::PowerCurve> curves_;  // Builder fleets only
-  std::vector<metrics::PowerCurve::InterpolationTable> tables_;
   std::vector<double> ee_at_full_;
-  // SoA grid columns for the SIMD kernels (native knot resolution; see
-  // grid_view()). Kept alongside tables_, which stays the kScalarReference
-  // evaluation path and the pinned byte-identity reference.
+  // SoA grid columns (native knot resolution; see grid_view()): the only
+  // per-server evaluation state. The knot utilisations are the shared
+  // kernels::kRowU0 column.
   util::AlignedVector<double> grid_w0_;        // [size * kRowBins]
   util::AlignedVector<double> grid_m_;         // [size * kRowBins]
   util::AlignedVector<double> grid_inv_peak_;  // [size]

@@ -36,7 +36,7 @@ struct KnightShiftConfig {
 ///
 /// The Fleet overload takes the primary by index and reads peak ops/watts
 /// from the fleet columns; the shared-regime power lookups run as one batch
-/// against the primary's cached interpolation table. The record overload is
+/// against the primary's grid row. The record overload is
 /// a thin wrapper over a one-server Fleet::build, so an invalid primary
 /// curve fails there ("server N: ..."); both produce identical curves.
 epserve::Result<metrics::PowerCurve> knightshift_curve(

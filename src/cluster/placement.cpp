@@ -144,8 +144,8 @@ Result<std::vector<Assignment>> evaluate_batch(const PlacementPolicy& policy,
       }
     }
   }
-  // Server-major accounting: each server's cached interpolation table covers
-  // every demand point. Each slot's sums still accumulate in server index
+  // Server-major accounting: each server's grid row covers every demand
+  // point. Each slot's sums still accumulate in server index
   // order, so totals match evaluate() bitwise — the axpy kernel is
   // element-wise (acc[d] += x[d] * s, no cross-lane reduction), so every
   // variant produces the scalar loop's bytes. Servers go through the power

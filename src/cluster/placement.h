@@ -12,7 +12,7 @@
 // once per batch instead of once per demand point (working-region caps) or
 // once per fleet (ordering servers by an efficiency score: Fleet::order),
 // and all power accounting runs
-// through the fleet's cached interpolation tables. Callers holding raw
+// through the fleet's per-server grid rows. Callers holding raw
 // std::vector<ServerRecord> data convert once at the call boundary via
 // Fleet::build, which validates — every entry point here takes
 // `const Fleet&` only, so it never sees an empty fleet or an invalid curve,
@@ -101,9 +101,8 @@ epserve::Result<Assignment> evaluate(const PlacementPolicy& policy,
 
 /// Evaluates a policy at many demand points in one call: one place_batch for
 /// the placement, then server-major power accounting through the fleet's
-/// cached interpolation tables (one table lookup pass per server for the
-/// whole sweep). Per-slot results are bit-identical to calling evaluate()
-/// per demand.
+/// grid rows (one kernel pass per server for the whole sweep). Per-slot
+/// results are bit-identical to calling evaluate() per demand.
 epserve::Result<std::vector<Assignment>> evaluate_batch(
     const PlacementPolicy& policy, const Fleet& fleet,
     std::span<const double> demands);

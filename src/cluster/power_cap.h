@@ -21,8 +21,8 @@ struct CapResult {
 /// Finds the largest demand a policy can serve without exceeding
 /// `cap_watts`, by bisection over the demand axis (power is monotone in
 /// demand for all built-in policies). Fails when even zero demand (fleet
-/// idle) violates the cap. The fleet's cached tables are reused across
-/// every bisection step.
+/// idle) violates the cap. The fleet's grid rows and cached server orders
+/// are reused across every bisection step.
 epserve::Result<CapResult> max_throughput_under_cap(
     const PlacementPolicy& policy, const Fleet& fleet, double cap_watts,
     double tolerance = 1e-4);

@@ -1,10 +1,12 @@
 #include "dataset/generator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "dataset/calibration.h"
@@ -803,30 +805,46 @@ Result<std::uint64_t> generate_population_chunked(const ScaledConfig& config,
   const std::size_t thread_count = resolve_thread_count(config.threads);
   const auto pool = make_worker_pool(thread_count);
 
-  // Chunks are emitted in index order from the driving thread; inside a
-  // chunk every server draws from its own substream, so neither the chunk
-  // size nor the thread count can move a single byte of output.
-  std::vector<ServerRecord> chunk;
+  // Double-buffered: while the pool's workers generate chunk k+1 into one
+  // buffer, the driving thread hands chunk k (the other buffer) to the sink
+  // as parallel_for's prologue, then joins the generation. Chunks still
+  // reach the sink from this thread in index order, each only after its own
+  // errors were checked; inside a chunk every server draws from its own
+  // substream, so neither the chunk size nor the thread count can move a
+  // single byte of output.
+  std::array<std::vector<ServerRecord>, 2> buffers;
   std::vector<std::optional<Error>> chunk_errors;
+  std::span<const ServerRecord> ready;  // generated and checked, not sunk
+  std::uint64_t ready_first = 0;
+  const std::function<void()> emit_ready = [&] {
+    if (ready.empty()) return;
+    telemetry::count("generate.chunks");
+    sink(ready, ready_first);
+  };
   for (std::uint64_t first = 0; first < config.servers; first += chunk_size) {
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(chunk_size, config.servers - first));
+    std::vector<ServerRecord>& chunk = buffers[(first / chunk_size) % 2];
     chunk.resize(n);
     chunk_errors.assign(n, std::nullopt);
-    parallel_for(pool.get(), n, [&](std::size_t i) {
-      auto rec = scaled_server(tables, config, rng_base, first + i);
-      if (!rec.ok()) {
-        chunk_errors[i] = rec.error();
-        return;
-      }
-      chunk[i] = std::move(rec).take();
-    });
+    parallel_for(
+        pool.get(), n,
+        [&](std::size_t i) {
+          auto rec = scaled_server(tables, config, rng_base, first + i);
+          if (!rec.ok()) {
+            chunk_errors[i] = rec.error();
+            return;
+          }
+          chunk[i] = std::move(rec).take();
+        },
+        emit_ready);
     for (const auto& error : chunk_errors) {
       if (error.has_value()) return *error;
     }
-    telemetry::count("generate.chunks");
-    sink(std::span<const ServerRecord>(chunk.data(), n), first);
+    ready = std::span<const ServerRecord>(chunk.data(), n);
+    ready_first = first;
   }
+  emit_ready();
   return config.servers;
 }
 

@@ -86,7 +86,8 @@ struct ScaledConfig {
   int threads = 0;
 };
 
-/// Receives consecutive record chunks in ascending index order.
+/// Receives consecutive record chunks in ascending index order, always on
+/// the thread that called generate_population_chunked().
 /// `first_index` is the population index of chunk.front() (its record id is
 /// first_index + 1). The span is only valid for the duration of the call.
 using ChunkSink =
@@ -94,8 +95,11 @@ using ChunkSink =
                        std::uint64_t first_index)>;
 
 /// Streams the scaled population through `sink` in `chunk_size`-row chunks
-/// (the last chunk may be short). Peak memory is one chunk of records.
-/// Returns the number of records emitted.
+/// (the last chunk may be short). Generation of chunk k+1 overlaps the sink
+/// call for chunk k, so peak memory is two chunks of records. A chunk whose
+/// generation fails never reaches the sink: its lowest-index error is
+/// returned instead. An exception thrown by the sink propagates after the
+/// in-flight generation has stopped. Returns the number of records emitted.
 epserve::Result<std::uint64_t> generate_population_chunked(
     const ScaledConfig& config, std::size_t chunk_size, const ChunkSink& sink);
 

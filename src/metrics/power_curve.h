@@ -63,15 +63,12 @@ class PowerCurve {
   void normalized_power_batch(std::span<const double> utils,
                               std::span<double> out) const;
 
-  /// Evaluates the shared interpolation kernel against a caller-held table —
-  /// the hook for engines (cluster::Fleet) that cache one table per server
-  /// across many batches. Results are bitwise identical to normalized_power
-  /// on the curve the table was built from. Utilisations must be in [0, 1].
+  /// Evaluates the shared interpolation kernel against a caller-held table
+  /// (the reference the grid kernels are tested against). Results are
+  /// bitwise identical to normalized_power on the curve the table was built
+  /// from. The utilisation must be in [0, 1].
   static double normalized_power_from_table(const InterpolationTable& table,
                                             double utilization);
-  static void normalized_power_batch_from_table(const InterpolationTable& table,
-                                                std::span<const double> utils,
-                                                std::span<double> out);
 
   /// Idle power as a fraction of power at 100% load (the paper's "idle power
   /// percentage").

@@ -1,8 +1,9 @@
-// Shared scalar grid-evaluation expressions (internal to the kernel TUs and
-// UniformGridTable). Every kernel variant — scalar loop, AVX2, NEON — must
-// compute exactly these round-to-nearest operation sequences so results are
-// bitwise identical across variants (docs/KERNELS.md). Do not "optimise"
-// into FMA or reassociated forms.
+// Shared scalar grid-evaluation expressions (internal to the kernel TUs,
+// UniformGridTable and cluster::Fleet's inline single-point lookup). Every
+// kernel variant — scalar loop, AVX2, NEON — must compute exactly these
+// round-to-nearest operation sequences so results are bitwise identical
+// across variants (docs/KERNELS.md). Do not "optimise" into FMA or
+// reassociated forms.
 #pragma once
 
 #include <algorithm>

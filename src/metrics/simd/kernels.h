@@ -7,10 +7,11 @@
 // (metrics/uniform_grid.h), with explicit AVX2 (x86-64) and NEON (arm64)
 // implementations selected once per process by kernels::active():
 //
-//   kScalarReference  the pre-SIMD knot-walk path, forcible with
-//                     EPSERVE_FORCE_SCALAR=1 — cluster::Fleet routes it
-//                     through PowerCurve::normalized_power_batch_from_table,
-//                     so forced-scalar output is byte-identical to the
+//   kScalarReference  plain scalar loops with no vector code, forcible with
+//                     EPSERVE_FORCE_SCALAR=1. At the fleet's native 10-bin
+//                     resolution the grid expression is the knot walk's own
+//                     expression (PowerCurve::normalized_power), so
+//                     forced-scalar output is byte-identical to the
 //                     pre-kernel-layer code;
 //   kGridScalar       the grid expression as a plain scalar loop — the
 //                     portable fallback and the bitwise reference the vector
@@ -83,8 +84,8 @@ struct Kernels {
   const char* name = "";  // wire/CLI name, e.g. "grid-avx2"
 
   /// out[k] = normalized power of `grid` at utils[k]. Precondition (same as
-  /// PowerCurve::normalized_power_batch_from_table): every utilisation in
-  /// [0, 1]; violations raise ContractViolation. Checked per vector, not per
+  /// PowerCurve::normalized_power_batch): every utilisation in [0, 1];
+  /// violations raise ContractViolation. Checked per vector, not per
   /// point, in the SIMD variants.
   void (*grid_batch)(const GridView& grid, const double* utils, double* out,
                      std::size_t n) = nullptr;

@@ -1,7 +1,8 @@
-// Scalar kernel variants: the grid expression as a plain loop (kGridScalar,
-// the portable fallback and the bitwise reference for the vector TUs) and
-// the pre-SIMD knot-walk semantics (kScalarReference). Compiled with the
-// project's baseline ISA flags — nothing here requires AVX2/NEON.
+// Scalar kernel variants: the grid expression as a plain loop, shared by
+// kGridScalar (the portable fallback and the bitwise reference for the
+// vector TUs) and kScalarReference (what EPSERVE_FORCE_SCALAR=1 selects).
+// Compiled with the project's baseline ISA flags — nothing here requires
+// AVX2/NEON.
 #include <algorithm>
 
 #include "metrics/simd/grid_eval.h"
@@ -75,10 +76,11 @@ void axpy_scalar(double* acc, const double* x, double s, std::size_t n) {
 }  // namespace
 
 // kScalarReference shares these loops: the scalar grid expression IS the
-// knot-walk expression at the fleet's native resolution, and consumers that
-// must reproduce the pre-SIMD byte stream exactly (cluster::Fleet) bypass
-// the grid entirely for this variant and call the pinned
-// PowerCurve::normalized_power_batch_from_table path instead.
+// knot-walk expression at the fleet's native resolution (same u == 1.0
+// case, same truncating segment index, kRowU0 bitwise equal to the knot
+// utilisations, same mul/sub/add/mul order), so cluster::Fleet evaluates
+// every variant over its grid rows and forced-scalar output reproduces
+// PowerCurve::normalized_power bitwise (tests/cluster_fleet_test.cpp).
 extern const Kernels kScalarReferenceKernels;
 const Kernels kScalarReferenceKernels = {
     Variant::kScalarReference, "scalar-reference", grid_batch_scalar,

@@ -20,10 +20,16 @@ std::unique_ptr<ThreadPool> make_worker_pool(std::size_t threads) {
 
 void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
+  parallel_for(pool, n, body, nullptr);
+}
+
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& body,
+                  const std::function<void()>& prologue) {
   const std::size_t helpers =
-      pool == nullptr ? 0 : std::min(pool->size(), n - 1);
+      pool == nullptr || n == 0 ? 0 : std::min(pool->size(), n - 1);
   if (helpers == 0) {
+    if (prologue) prologue();
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -66,6 +72,15 @@ void parallel_for(ThreadPool* pool, std::size_t n,
       helpers_finished.notify_one();
     });
   }
+  std::exception_ptr prologue_error;
+  if (prologue) {
+    try {
+      prologue();
+    } catch (...) {
+      prologue_error = std::current_exception();
+      abort.store(true, std::memory_order_relaxed);
+    }
+  }
   drain();
 
   // The caller must outlive every helper referencing this frame, so wait
@@ -87,6 +102,7 @@ void parallel_for(ThreadPool* pool, std::size_t n,
                                 [&] { return helpers_done == helpers; });
     }
   }
+  if (prologue_error) std::rethrow_exception(prologue_error);
   if (first_error) std::rethrow_exception(first_error);
 }
 

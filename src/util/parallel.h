@@ -42,6 +42,20 @@ std::unique_ptr<ThreadPool> make_worker_pool(std::size_t threads);
 void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
+/// parallel_for that first runs `prologue` once on the calling thread, after
+/// the helpers have been handed the index range and before the caller joins
+/// it — so the caller's own work overlaps the loop (the scaled generator
+/// sinks chunk k while the helpers generate chunk k+1). On the serial path
+/// the prologue simply runs before the loop. An empty prologue is skipped.
+///
+/// If the prologue throws, un-started indices are skipped and, after all
+/// in-flight work has drained, the prologue's exception is rethrown: it
+/// ranks before every index. Body exceptions follow the lowest-index rule
+/// above.
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& body,
+                  const std::function<void()>& prologue);
+
 /// parallel_for that materialises fn(i) into slot i of the result vector.
 /// The mapped type must be default-constructible and movable.
 template <typename Fn>

@@ -6,12 +6,16 @@
 // fleets alike, and from 1 or 8 threads sharing one built Fleet (run under
 // -DEPSERVE_SANITIZE=thread via `ctest -L parallel`). The lazily cached
 // server orders must equal a fresh per-call sort, ties included, and be
-// built exactly once however many threads race to first use them.
+// built exactly once however many threads race to first use them. Every
+// Fleet evaluation entry point must equal PowerCurve::normalized_power
+// bitwise under every kernel variant, forced scalar included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <latch>
 #include <limits>
@@ -31,7 +35,9 @@
 #include "cluster/working_region.h"
 #include "metrics/curve_models.h"
 #include "metrics/efficiency.h"
+#include "metrics/load_level.h"
 #include "metrics/proportionality.h"
+#include "util/rng.h"
 #include "util/telemetry.h"
 
 namespace epserve::cluster {
@@ -394,6 +400,120 @@ TEST_P(FleetEquivalence, StreamedBuilderMatchesValidatedBuild) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FleetEquivalence,
+                         ::testing::Values(std::size_t{1}, std::size_t{100},
+                                           std::size_t{5000}));
+
+// --- Every kernel variant vs PowerCurve::normalized_power -----------------
+//
+// The Fleet keeps no per-server interpolation table: every evaluation path
+// reads the grid rows. This pins all four entry points bitwise to the
+// curve's own knot walk under kScalarReference (EPSERVE_FORCE_SCALAR=1) and
+// every variant this build and CPU can run.
+
+/// The eleven knots, both neighbours of every k/10 inside [0, 1], and 1000
+/// seeded uniform draws.
+std::vector<double> probe_utilizations() {
+  std::vector<double> points;
+  for (int k = 0; k <= 10; ++k) {
+    const double knot = k == 0 ? 0.0 : metrics::kLoadLevels[k - 1];
+    points.push_back(knot);
+    if (k > 0) points.push_back(std::nextafter(knot, 0.0));
+    if (k < 10) points.push_back(std::nextafter(knot, 1.0));
+  }
+  points.push_back(1.0);
+  Rng rng(0xF1EE7);
+  for (int k = 0; k < 1000; ++k) points.push_back(rng.uniform());
+  return points;
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+class FleetKernelVariants : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FleetKernelVariants, EveryPathBitwiseEqualsTheCurve) {
+  const auto records = make_fleet(GetParam());
+  const Fleet fleet = Fleet::build(records).take();
+  const std::size_t n = fleet.size();
+  const std::vector<double> points = probe_utilizations();
+  const std::size_t slots = points.size();
+  std::vector<std::uint64_t> expected(n * slots);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t p = 0; p < slots; ++p) {
+      expected[i * slots + p] =
+          bits_of(records[i].curve.normalized_power(points[p]));
+    }
+  }
+
+  // normalized_power(i, u) is the inline grid expression, whatever the
+  // active variant.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t p = 0; p < slots; ++p) {
+      ASSERT_EQ(bits_of(fleet.normalized_power(i, points[p])),
+                expected[i * slots + p])
+          << "normalized_power server " << i << " u " << points[p];
+    }
+  }
+
+  const metrics::kernels::Variant original =
+      metrics::kernels::active().variant;
+  for (const auto variant : {metrics::kernels::Variant::kScalarReference,
+                             metrics::kernels::Variant::kGridScalar,
+                             metrics::kernels::Variant::kGridAvx2,
+                             metrics::kernels::Variant::kGridAvx512,
+                             metrics::kernels::Variant::kGridNeon}) {
+    if (!metrics::kernels::set_active_for_testing(variant)) continue;
+    const char* name = metrics::kernels::variant_name(variant);
+    std::vector<double> out(slots);
+    for (std::size_t i = 0; i < n; ++i) {
+      fleet.normalized_power_batch(i, points, out);
+      for (std::size_t p = 0; p < slots; ++p) {
+        ASSERT_EQ(bits_of(out[p]), expected[i * slots + p])
+            << name << " batch server " << i << " u " << points[p];
+      }
+    }
+
+    // Matrix: blocks of up to 256 servers, every point in every row.
+    constexpr std::size_t kBlock = 256;
+    std::vector<double> utils;
+    std::vector<double> block_out;
+    for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
+      const std::size_t count = std::min(kBlock, n - i0);
+      utils.clear();
+      for (std::size_t r = 0; r < count; ++r) {
+        utils.insert(utils.end(), points.begin(), points.end());
+      }
+      block_out.assign(utils.size(), 0.0);
+      fleet.normalized_power_matrix(i0, count, utils, block_out, slots);
+      for (std::size_t r = 0; r < count; ++r) {
+        for (std::size_t p = 0; p < slots; ++p) {
+          ASSERT_EQ(bits_of(block_out[r * slots + p]),
+                    expected[(i0 + r) * slots + p])
+              << name << " matrix server " << i0 + r << " u " << points[p];
+        }
+      }
+    }
+
+    // Per server: round p gives server i the point (p + i) % slots, so every
+    // (server, point) pair is visited once.
+    std::vector<double> per_utils(n);
+    std::vector<double> per_out(n);
+    for (std::size_t p = 0; p < slots; ++p) {
+      for (std::size_t i = 0; i < n; ++i) per_utils[i] = points[(p + i) % slots];
+      fleet.normalized_power_per_server(per_utils, per_out);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits_of(per_out[i]), expected[i * slots + (p + i) % slots])
+            << name << " per_server server " << i << " u " << per_utils[i];
+      }
+    }
+  }
+  ASSERT_TRUE(metrics::kernels::set_active_for_testing(original));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, FleetKernelVariants,
                          ::testing::Values(std::size_t{1}, std::size_t{100},
                                            std::size_t{5000}));
 

@@ -1,17 +1,21 @@
 // ThreadPool + parallel_for/parallel_map behaviour: lifecycle, index
 // coverage, edge cases (empty range, n < threads, caller-only pools),
-// exception propagation, nesting, and a 10k-task stress loop (run it under
-// --gtest_repeat for scheduling variety; the suite carries the `parallel`
-// ctest label so it is exercised under ThreadSanitizer).
+// exception propagation, nesting, the caller-prologue overload (runs once
+// on the caller, overlaps the helpers, its exception ranks first), and a
+// 10k-task stress loop (run it under --gtest_repeat for scheduling variety;
+// the suite carries the `parallel` ctest label so it is exercised under
+// ThreadSanitizer).
 #include "util/parallel.h"
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace epserve {
@@ -132,6 +136,85 @@ TEST(ParallelFor, NestedOnSamePoolDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 32);
+}
+
+// --- parallel_for with a caller prologue ------------------------------------
+
+TEST(ParallelForPrologue, RunsOnceOnTheCallerAndEveryIndexRuns) {
+  for (const std::size_t workers : {0u, 1u, 4u}) {
+    ThreadPool pool(workers);
+    for (const std::size_t n : {0u, 1u, 5u, 1000u}) {
+      std::vector<std::atomic<int>> hits(n);
+      int prologue_calls = 0;
+      std::thread::id prologue_thread;
+      parallel_for(
+          &pool, n,
+          [&hits](std::size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+          },
+          [&] {
+            ++prologue_calls;
+            prologue_thread = std::this_thread::get_id();
+          });
+      EXPECT_EQ(prologue_calls, 1) << "workers " << workers << " n " << n;
+      EXPECT_EQ(prologue_thread, std::this_thread::get_id());
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+      }
+    }
+  }
+}
+
+TEST(ParallelForPrologue, SerialPathRunsThePrologueBeforeTheLoop) {
+  std::vector<int> order;
+  parallel_for(
+      nullptr, 3,
+      [&order](std::size_t i) { order.push_back(static_cast<int>(i)); },
+      [&order] { order.push_back(-1); });
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
+}
+
+TEST(ParallelForPrologue, HelpersRunWhileThePrologueRuns) {
+  // The prologue waits for a helper to finish an index: it can only see one
+  // if the helpers were handed the range before the prologue started.
+  ThreadPool pool(2);
+  std::atomic<int> done{0};
+  bool overlapped = false;
+  parallel_for(
+      &pool, 64,
+      [&done](std::size_t) { done.fetch_add(1, std::memory_order_acq_rel); },
+      [&] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (done.load(std::memory_order_acquire) == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        overlapped = done.load(std::memory_order_acquire) > 0;
+      });
+  EXPECT_TRUE(overlapped);
+  EXPECT_EQ(done.load(), 64);
+}
+
+TEST(ParallelForPrologue, PrologueExceptionOutranksBodyExceptions) {
+  for (const std::size_t workers : {0u, 4u}) {
+    ThreadPool pool(workers);
+    std::atomic<int> ran{0};
+    try {
+      parallel_for(
+          &pool, 10000,
+          [&ran](std::size_t i) {
+            ran.fetch_add(1, std::memory_order_relaxed);
+            if (i == 0) throw std::runtime_error("index 0");
+          },
+          [] { throw std::logic_error("prologue"); });
+      FAIL() << "expected an exception";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "prologue");
+    }
+    // Un-started indices are skipped once the prologue has thrown.
+    EXPECT_LT(ran.load(), 10000) << "workers " << workers;
+  }
 }
 
 TEST(ParallelMap, MatchesSerialMap) {
