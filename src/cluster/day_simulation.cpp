@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "util/telemetry.h"
@@ -31,11 +32,12 @@ Result<DayResult> simulate_day(const PlacementPolicy& policy,
   telemetry::count("cluster.day.slots", trace.demand.size());
   DayResult result;
   result.policy = policy.name();
-  // One batched evaluation for the whole trace: the fleet's grid rows serve
-  // every (server, slot) pair.
-  auto assignments = evaluate_batch(policy, fleet, trace.demand);
-  if (!assignments.ok()) return assignments.error();
-  for (const auto& assignment : assignments.value()) {
+  // One placement and one batched evaluation for the whole trace: the
+  // policy's cuts and the fleet's grid rows serve every (server, slot) pair.
+  auto placed = checked_place_batch(policy, fleet, trace.demand);
+  if (!placed.ok()) return placed.error();
+  const Placement& placement = placed.value();
+  for (const auto& assignment : evaluate_placement(fleet, placement)) {
     result.energy_kwh +=
         assignment.total_power_watts * trace.slot_hours / 1000.0;
     result.served_gops +=
@@ -47,38 +49,48 @@ Result<DayResult> simulate_day(const PlacementPolicy& policy,
     // power) drops to the deepest state the trace's cap allows; the
     // parked->active transition charges the state's wake energy and
     // forfeits the wake_latency_s head of the slot's served work.
+    // Each slot's utilisations are rebuilt from the placement's cuts a
+    // block of servers at a time (Placement::fill), unclamped, as the
+    // policy placed them.
     const double slot_seconds = trace.slot_hours * 3600.0;
     const auto idle_watts = fleet.idle_watts();
     const auto peak_ops = fleet.peak_ops();
-    const auto& slots = assignments.value();
+    constexpr std::size_t kBlockServers = 1024;
+    std::vector<double> block(kBlockServers);
     std::vector<int> parked_state(fleet.size(), -1);  // -1 = active
-    for (std::size_t s = 0; s < slots.size(); ++s) {
+    for (std::size_t s = 0; s < placement.slots.size(); ++s) {
       const int cap = trace.idle_state_cap(s, idle.deepest());
       const IdleState& state = idle.states[static_cast<std::size_t>(cap)];
-      for (std::size_t i = 0; i < fleet.size(); ++i) {
-        const double u = slots[s].utilization[i];
-        if (u == 0.0) {
-          result.energy_kwh += idle_watts[i] * (state.power_fraction - 1.0) *
-                               trace.slot_hours / 1000.0;
-          result.idle_energy_kwh += idle_watts[i] * state.power_fraction *
-                                    trace.slot_hours / 1000.0;
-          parked_state[i] = cap;
-          continue;
+      for (std::size_t i0 = 0; i0 < fleet.size(); i0 += kBlockServers) {
+        const std::size_t count = std::min(kBlockServers, fleet.size() - i0);
+        placement.fill(fleet, i0, count, s, 1,
+                       std::span<double>(block.data(), count));
+        for (std::size_t i = i0; i < i0 + count; ++i) {
+          const double u = block[i - i0];
+          if (u == 0.0) {
+            result.energy_kwh += idle_watts[i] *
+                                 (state.power_fraction - 1.0) *
+                                 trace.slot_hours / 1000.0;
+            result.idle_energy_kwh += idle_watts[i] * state.power_fraction *
+                                      trace.slot_hours / 1000.0;
+            parked_state[i] = cap;
+            continue;
+          }
+          if (parked_state[i] >= 0) {
+            const IdleState& from =
+                idle.states[static_cast<std::size_t>(parked_state[i])];
+            result.wake_count += 1;
+            result.wake_energy_kwh += from.wake_energy_j / 3.6e6;
+            result.energy_kwh += from.wake_energy_j / 3.6e6;
+            const double gap =
+                std::min(from.wake_latency_s, slot_seconds) / slot_seconds;
+            const double lost =
+                u * peak_ops[i] * gap * trace.slot_hours * 3600.0 / 1e9;
+            result.wake_lost_gops += lost;
+            result.served_gops -= lost;
+          }
+          parked_state[i] = -1;
         }
-        if (parked_state[i] >= 0) {
-          const IdleState& from =
-              idle.states[static_cast<std::size_t>(parked_state[i])];
-          result.wake_count += 1;
-          result.wake_energy_kwh += from.wake_energy_j / 3.6e6;
-          result.energy_kwh += from.wake_energy_j / 3.6e6;
-          const double gap =
-              std::min(from.wake_latency_s, slot_seconds) / slot_seconds;
-          const double lost =
-              u * peak_ops[i] * gap * trace.slot_hours * 3600.0 / 1e9;
-          result.wake_lost_gops += lost;
-          result.served_gops -= lost;
-        }
-        parked_state[i] = -1;
       }
     }
     telemetry::count("cluster.day.wakes", result.wake_count);

@@ -37,15 +37,18 @@ struct DayResult {
 };
 
 /// Runs the trace under a policy against a prebuilt Fleet — the whole day is
-/// one evaluate_batch over the fleet's grid rows, recorded under the
-/// `cluster/policy/<name>` root telemetry span. Fails on an empty trace or
-/// demand outside [0, 1].
+/// one place_batch (a rank cut per slot) plus one evaluate_placement over
+/// the fleet's grid rows, recorded under the `cluster/policy/<name>` root
+/// telemetry span. No fleet-size x slots utilisation matrix is ever held.
+/// Fails on an empty trace or demand outside [0, 1].
 ///
 /// With a non-trivial IdleModel, a parked server (exact utilisation 0.0)
 /// occupies the deepest state allowed by trace.idle_state_cap(slot): its
 /// slot energy scales by the state's power_fraction, and a parked->active
 /// transition charges the state's wake_energy_j and forfeits the server's
-/// served work for the wake_latency_s head of the slot.
+/// served work for the wake_latency_s head of the slot. The idle pass
+/// rebuilds each slot's utilisations from the cuts through Placement::fill,
+/// a block of servers at a time, in server index order.
 epserve::Result<DayResult> simulate_day(const PlacementPolicy& policy,
                                         const Fleet& fleet,
                                         const DemandTrace& trace,

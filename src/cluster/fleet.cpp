@@ -147,8 +147,8 @@ void Fleet::normalized_power_per_server(std::span<const double> utils,
   telemetry::count("kernel.batch_points", utils.size());
 }
 
-std::span<const std::size_t> Fleet::order(OrderKey key) const {
-  OrderCache& cache = (*orders_)[static_cast<std::size_t>(key)];
+const Fleet::OrderCache& Fleet::order_cache(OrderKey key) const {
+  OrderCache& cache = caches_->orders[static_cast<std::size_t>(key)];
   std::call_once(cache.built, [&] {
     // Root scope: the path stays `fleet.order` whichever caller (policy,
     // autoscaler, serve request, thread) happens to sort first.
@@ -165,19 +165,60 @@ std::span<const std::size_t> Fleet::order(OrderKey key) const {
                 if (score[a] != score[b]) return score[a] > score[b];
                 return ids_[a] < ids_[b];
               });
+    // The inverse permutation and the permuted peak_ops column, so walks
+    // over the order read memory sequentially.
+    const std::span<const double> peak = peak_ops();
+    cache.rank.resize(size());
+    cache.ranked_peak_ops.resize(size());
+    for (std::size_t r = 0; r < size(); ++r) {
+      cache.rank[cache.order[r]] = r;
+      cache.ranked_peak_ops[r] = peak[cache.order[r]];
+    }
   });
-  return cache.order;
+  return cache;
 }
 
-std::vector<double> Fleet::optimal_region_tops(double ee_threshold) const {
-  const std::span<const double> peak = peak_ee_value();
-  std::vector<double> tops;
-  tops.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    const Region region = optimal_region(curve(i), peak[i], ee_threshold);
-    tops.push_back(region.empty() ? 1.0 : region.hi);
+std::span<const std::size_t> Fleet::order(OrderKey key) const {
+  return order_cache(key).order;
+}
+
+std::span<const std::size_t> Fleet::rank(OrderKey key) const {
+  return order_cache(key).rank;
+}
+
+std::span<const double> Fleet::ranked_peak_ops(OrderKey key) const {
+  return order_cache(key).ranked_peak_ops;
+}
+
+const Fleet::RegionTops& Fleet::optimal_region_tops(
+    double ee_threshold) const {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &ee_threshold, sizeof(bits));
+  RegionCache* cache = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(caches_->regions_mutex);
+    auto& entry = caches_->regions[bits];
+    if (!entry) entry = std::make_unique<RegionCache>();
+    cache = entry.get();
   }
-  return tops;
+  std::call_once(cache->built, [&] {
+    const telemetry::Span span("fleet.region_tops",
+                               telemetry::Span::Scope::kRoot);
+    telemetry::count("fleet.region_tops_builds");
+    const std::span<const std::size_t> ranks = rank(OrderKey::kPeakEe);
+    const std::span<const double> peak_ee = peak_ee_value();
+    const std::span<const double> peak = peak_ops();
+    RegionTops& tops = cache->tops;
+    tops.ranked_top.resize(size());
+    tops.utilization.resize(size());
+    for (std::size_t i = 0; i < size(); ++i) {
+      const Region region = optimal_region(curve(i), peak_ee[i], ee_threshold);
+      const double top = region.empty() ? 1.0 : region.hi;
+      tops.ranked_top[ranks[i]] = top;
+      tops.utilization[i] = RegionTops::loaded(top, peak[i]);
+    }
+  });
+  return cache->tops;
 }
 
 std::uint64_t Fleet::digest() const {

@@ -183,16 +183,24 @@ TEST(EvaluateBatch, BitIdenticalToPerSlotEvaluate) {
   const std::vector<ServerRecord> fleet(base.begin(), base.begin() + 32);
   const cluster::OptimalRegionPolicy policy;
   const auto trace = cluster::make_trace("diurnal").value();
-  auto batched = cluster::evaluate_batch(policy, cluster::Fleet::build(fleet).value(), trace.demand);
+  const cluster::Fleet built = cluster::Fleet::build(fleet).take();
+  auto batched = cluster::evaluate_batch(policy, built, trace.demand);
   ASSERT_TRUE(batched.ok());
   ASSERT_EQ(batched.value().size(), trace.demand.size());
+  // evaluate_batch keeps no utilisations: the batch's placement, rebuilt
+  // slot by slot through Placement::fill, must equal evaluate()'s vector.
+  const cluster::Placement placement = policy.place_batch(built, trace.demand);
+  ASSERT_EQ(placement.slots.size(), trace.demand.size());
+  std::vector<double> slot_util(built.size());
   for (std::size_t d = 0; d < trace.demand.size(); ++d) {
     auto single = cluster::evaluate(policy, cluster::Fleet::build(fleet).value(), trace.demand[d]);
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(batched.value()[d].total_power_watts,
               single.value().total_power_watts);
     EXPECT_EQ(batched.value()[d].total_ops, single.value().total_ops);
-    EXPECT_EQ(batched.value()[d].utilization, single.value().utilization);
+    EXPECT_TRUE(batched.value()[d].utilization.empty());
+    placement.fill(built, 0, built.size(), d, 1, slot_util);
+    EXPECT_EQ(slot_util, single.value().utilization);
   }
 }
 
