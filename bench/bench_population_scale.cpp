@@ -40,10 +40,13 @@ using namespace epserve;
 constexpr std::uint64_t kScaleServers = 1'000'000;
 constexpr std::uint64_t kReferenceServers = 5'000;
 constexpr std::size_t kChunkRows = 65'536;
-/// Above the streamed footprint at 1M (~665 MB: the fleet's columns, its
-/// owned curve column and two generator chunks), below what a per-server
-/// side table or a materialized vector<ServerRecord> of the population adds.
-constexpr long kPeakRssCeilingMb = 800;
+/// The streamed footprint at 1M plus under 10%: 513-517 MB VmHWM over three
+/// runs on a 4-vCPU AVX-512 host (the fleet's columns, its owned curve
+/// column, two generator chunks, the cached orders with their ranks and the
+/// region tops). Per-slot utilisation vectors (fleet size x slots doubles,
+/// 665 MB VmHWM), a per-server side table or a materialized
+/// vector<ServerRecord> of the population exceed it.
+constexpr long kPeakRssCeilingMb = 565;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
