@@ -17,7 +17,8 @@
 // The batch power kernel is also timed on its own (docs/KERNELS.md): the
 // whole-fleet normalized-power evaluation through the plain scalar loop
 // (kScalarReference) vs the dispatched grid/SIMD kernel, byte-comparing the
-// outputs, with a separate 4x gate — so end-to-end wins (dominated by the
+// outputs, with a separate 4x gate on the ratio of the two arms' medians
+// over alternating repeats — so end-to-end wins (dominated by the
 // placement sort/fill) cannot mask a kernel regression, and vice versa.
 //
 // Every per-policy energy/served/efficiency number is digested and
@@ -46,6 +47,7 @@
 #include "metrics/curve_models.h"
 #include "metrics/efficiency.h"
 #include "metrics/simd/kernels.h"
+#include "stats/descriptive.h"
 
 namespace {
 
@@ -244,6 +246,7 @@ int main() {
       kernels::get(kernels::Variant::kGridAvx2) != nullptr ||
       kernels::get(kernels::Variant::kGridNeon) != nullptr;
   constexpr int kKernelRounds = 100;
+  constexpr std::size_t kKernelRepeats = 9;
   constexpr std::size_t kKernelBlock = 256;  // evaluate_batch's block size
   const std::size_t slots = trace.demand.size();
   // One block's worth of utilisations, reused for every block: in
@@ -279,13 +282,21 @@ int main() {
           std::span<double>(out.data() + i0 * slots, count * slots), slots);
     }
   };
+  // Each arm's time is the median of alternating repeats: a single ~1 ms
+  // timing per arm is noise-bound on a shared host.
+  std::vector<double> scalar_repeats(kKernelRepeats);
+  std::vector<double> simd_repeats(kKernelRepeats);
+  for (std::size_t r = 0; r < kKernelRepeats; ++r) {
+    kernels::set_active_for_testing(kernels::Variant::kScalarReference);
+    scalar_repeats[r] = time_iterations(kKernelRounds, [&] { kernel_pass(); });
+    kernels::set_active_for_testing(dispatched);
+    simd_repeats[r] = time_iterations(kKernelRounds, [&] { kernel_pass(); });
+  }
+  const double kernel_scalar_s = stats::median(scalar_repeats);
+  const double kernel_simd_s = stats::median(simd_repeats);
   kernels::set_active_for_testing(kernels::Variant::kScalarReference);
-  const double kernel_scalar_s =
-      time_iterations(kKernelRounds, [&] { kernel_pass(); });
   kernel_full_matrix(kernel_out_scalar);
   kernels::set_active_for_testing(dispatched);
-  const double kernel_simd_s =
-      time_iterations(kKernelRounds, [&] { kernel_pass(); });
   kernel_full_matrix(kernel_out_simd);
   const double kernel_speedup = kernel_scalar_s / kernel_simd_s;
   const double kernel_points =

@@ -19,8 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -68,23 +66,6 @@ long peak_rss_mb() {
   return 0;
 }
 
-Result<cluster::Fleet> streamed_fleet(const dataset::ScaledConfig& config,
-                                      std::size_t chunk_rows) {
-  cluster::Fleet::Builder builder;
-  std::optional<Error> append_error;
-  auto emitted = dataset::generate_population_chunked(
-      config, chunk_rows,
-      [&](std::span<const dataset::ServerRecord> chunk, std::uint64_t) {
-        if (append_error) return;
-        if (auto appended = builder.append(chunk); !appended.ok()) {
-          append_error = appended.error();
-        }
-      });
-  if (!emitted.ok()) return emitted.error();
-  if (append_error) return *append_error;
-  return builder.finish();
-}
-
 }  // namespace
 
 int main() {
@@ -104,7 +85,8 @@ int main() {
     return 1;
   }
   const auto monolithic = cluster::Fleet::build(reference_records.value());
-  const auto reference_streamed = streamed_fleet(reference_config, 997);
+  const auto reference_streamed =
+      cluster::build_streamed_fleet(reference_config, 997);
   if (!monolithic.ok() || !reference_streamed.ok()) {
     std::fprintf(stderr, "FAIL: reference fleet build\n");
     return 1;
@@ -119,7 +101,7 @@ int main() {
   dataset::ScaledConfig scale_config;
   scale_config.servers = kScaleServers;
   const auto build_start = std::chrono::steady_clock::now();
-  const auto fleet = streamed_fleet(scale_config, kChunkRows);
+  const auto fleet = cluster::build_streamed_fleet(scale_config, kChunkRows);
   const double build_s = seconds_since(build_start);
   if (!fleet.ok()) {
     std::fprintf(stderr, "FAIL: scale fleet build: %s\n",

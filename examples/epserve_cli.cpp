@@ -51,7 +51,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/autoscaler.h"
 #include "cluster/day_simulation.h"
 #include "cluster/fleet.h"
 #include "cluster/matrix.h"
@@ -394,25 +393,6 @@ int cmd_guide(int argc, const char* const* argv) {
   return 0;
 }
 
-/// Streamed fleet assembly for day --scale: generator chunks append into a
-/// Fleet::Builder, so no full vector<ServerRecord> ever exists.
-Result<cluster::Fleet> build_scaled_fleet(const dataset::ScaledConfig& config,
-                                          std::size_t chunk) {
-  cluster::Fleet::Builder builder;
-  std::optional<Error> append_error;
-  auto emitted = dataset::generate_population_chunked(
-      config, chunk,
-      [&](std::span<const dataset::ServerRecord> rows, std::uint64_t) {
-        if (append_error) return;
-        if (auto appended = builder.append(rows); !appended.ok()) {
-          append_error = appended.error();
-        }
-      });
-  if (!emitted.ok()) return emitted.error();
-  if (append_error) return *append_error;
-  return builder.finish();
-}
-
 int cmd_day(int argc, const char* const* argv) {
   std::uint64_t fleet_size = 24;
   dataset::GeneratorConfig config;
@@ -489,7 +469,8 @@ int cmd_day(int argc, const char* const* argv) {
   // names (from the registry's kNotFound error).
   cluster::DemandTrace trace;
   if (!matrix) {
-    auto made = cluster::make_trace(trace_given ? trace_name : "diurnal");
+    if (!trace_given) trace_name = "diurnal";
+    auto made = cluster::make_trace(trace_name);
     if (!made.ok()) {
       std::fprintf(stderr, "%s\n", made.error().message.c_str());
       return 2;
@@ -513,7 +494,7 @@ int cmd_day(int argc, const char* const* argv) {
   // view-built path must keep its records alive alongside the handle.
   std::vector<dataset::ServerRecord> fleet;
   const auto handle = [&]() -> Result<cluster::Fleet> {
-    if (scale_given) return build_scaled_fleet(scaled_config, chunk);
+    if (scale_given) return cluster::build_streamed_fleet(scaled_config, chunk);
     auto population = dataset::generate_population(config);
     if (!population.ok()) return population.error();
     fleet = modern_fleet(population.value(), fleet_size);
@@ -539,31 +520,23 @@ int cmd_day(int argc, const char* const* argv) {
     }
     return 0;
   }
-  auto days =
-      cluster::compare_policies_over_day(handle.value(), trace, idle.value());
-  if (!days.ok()) {
-    std::fprintf(stderr, "%s\n", days.error().message.c_str());
-    return 1;
-  }
   TextTable table;
   table.columns({"policy", "kWh/day", "served Gops", "ops/J"});
-  for (const auto& day : days.value()) {
-    table.row({day.policy, format_fixed(day.energy_kwh, 2),
-               format_fixed(day.served_gops, 1),
-               format_fixed(day.avg_efficiency, 1)});
-  }
-  if (trace.latency_critical()) {
-    // Powering servers fully off violates the trace's idle-state cap.
-    table.row({"autoscaler", "-", "-", "-"});
-  } else {
-    auto scaled = cluster::autoscale_over_day(handle.value(), trace);
-    if (!scaled.ok()) {
-      std::fprintf(stderr, "%s\n", scaled.error().message.c_str());
+  for (const auto& policy : cluster::day_policies()) {
+    auto cell = cluster::run_policy_day(handle.value(), trace_name, trace,
+                                        policy, idle.value());
+    if (!cell.ok()) {
+      std::fprintf(stderr, "%s\n", cell.error().message.c_str());
       return 1;
     }
-    table.row({"autoscaler", format_fixed(scaled.value().energy_kwh, 2),
-               format_fixed(scaled.value().served_gops, 1),
-               format_fixed(scaled.value().avg_efficiency, 1)});
+    if (!cell.value().eligible) {
+      table.row({policy, "-", "-", "-"});
+      continue;
+    }
+    const cluster::DayResult& day = cell.value().result;
+    table.row({policy, format_fixed(day.energy_kwh, 2),
+               format_fixed(day.served_gops, 1),
+               format_fixed(day.avg_efficiency, 1)});
   }
   std::cout << handle.value().size() << " servers over "
             << trace.demand.size() << " slots\n"

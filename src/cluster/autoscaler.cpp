@@ -35,13 +35,14 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
   const std::span<const std::size_t> order =
       fleet.order(Fleet::OrderKey::kOverallScore);
 
-  // prefix[k] = capacity of the k best servers, accumulated in prefix order —
-  // the same additions (and therefore the same doubles) as growing the
-  // active prefix one server at a time.
-  const std::span<const double> peak_ops = fleet.peak_ops();
+  // prefix[k] = capacity of the k best servers, summed in rank order — the
+  // same additions (and therefore the same doubles) as growing the active
+  // prefix one server at a time.
+  const std::span<const double> ranked_peak_ops =
+      fleet.ranked_peak_ops(Fleet::OrderKey::kOverallScore);
   std::vector<double> prefix(n + 1, 0.0);
   for (std::size_t k = 0; k < n; ++k) {
-    prefix[k + 1] = prefix[k] + peak_ops[order[k]];
+    prefix[k + 1] = prefix[k] + ranked_peak_ops[k];
   }
 
   const double fleet_capacity = fleet.capacity_ops();
@@ -62,18 +63,15 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
     const double demand_ops = demand * fleet_capacity;
 
     // Smallest prefix whose capacity at the target utilisation covers the
-    // demand (the whole fleet at full tilt as a last resort).
-    int needed = 0;
-    while (needed < static_cast<int>(n) &&
-           prefix[static_cast<std::size_t>(needed)] *
-                   config.target_utilization <
-               demand_ops) {
-      ++needed;
-    }
-    if (prefix[static_cast<std::size_t>(needed)] * config.target_utilization <
-        demand_ops) {
-      needed = static_cast<int>(n);  // serve above target util
-    }
+    // demand (the whole fleet at full tilt as a last resort). prefix is
+    // non-decreasing, so the predicate is partitioned over [0, n).
+    const int needed = static_cast<int>(
+        std::partition_point(prefix.begin(), prefix.end() - 1,
+                             [&](double capacity) {
+                               return capacity * config.target_utilization <
+                                      demand_ops;
+                             }) -
+        prefix.begin());
 
     // Hysteresis: grow immediately, shrink only past the band.
     int next_active = active;

@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
 
 #include "cluster/working_region.h"
+#include "dataset/generator.h"
 #include "metrics/efficiency.h"
 #include "metrics/load_level.h"
 #include "util/contracts.h"
@@ -246,6 +248,23 @@ std::uint64_t Fleet::digest() const {
   mix_column(idle_watts());
   mix_column(ep());
   return hash;
+}
+
+Result<Fleet> build_streamed_fleet(const dataset::ScaledConfig& config,
+                                   std::size_t chunk_rows) {
+  Fleet::Builder builder;
+  std::optional<Error> append_error;
+  auto emitted = dataset::generate_population_chunked(
+      config, chunk_rows,
+      [&](std::span<const dataset::ServerRecord> chunk, std::uint64_t) {
+        if (append_error) return;
+        if (auto appended = builder.append(chunk); !appended.ok()) {
+          append_error = appended.error();
+        }
+      });
+  if (!emitted.ok()) return emitted.error();
+  if (append_error) return *append_error;
+  return builder.finish();
 }
 
 }  // namespace epserve::cluster

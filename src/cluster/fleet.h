@@ -60,6 +60,10 @@
 #include "util/aligned.h"
 #include "util/result.h"
 
+namespace epserve::dataset {
+struct ScaledConfig;
+}  // namespace epserve::dataset
+
 namespace epserve::cluster {
 
 class Fleet {
@@ -301,5 +305,12 @@ class Fleet::Builder {
   dataset::ColumnarSnapshot::Builder snapshot_builder_;
   Fleet fleet_;  // under construction; its snapshot is set by finish()
 };
+
+/// The streamed fleet build: dataset::generate_population_chunked chunks of
+/// `chunk_rows` rows go straight into a Fleet::Builder, so peak memory is
+/// two chunks of records plus the fleet's own columns. Fails with the
+/// generator's error or the first failing append.
+epserve::Result<Fleet> build_streamed_fleet(const dataset::ScaledConfig& config,
+                                            std::size_t chunk_rows);
 
 }  // namespace epserve::cluster

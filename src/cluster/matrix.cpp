@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "cluster/autoscaler.h"
@@ -17,51 +18,65 @@ namespace {
 
 constexpr std::string_view kAutoscalerPolicy = "autoscaler";
 
-/// Maps an autoscaler day onto the DayResult cell shape: the wake penalty
-/// (already inside energy_kwh) doubles as the wake-energy line item.
-DayResult autoscaler_cell(const AutoscaleResult& scaled,
-                          const AutoscalerConfig& config) {
-  DayResult day;
-  day.policy = std::string(kAutoscalerPolicy);
-  day.energy_kwh = scaled.energy_kwh;
-  day.served_gops = scaled.served_gops;
-  day.avg_efficiency = scaled.avg_efficiency;
-  double wakes = 0.0;
-  for (const auto& slot : scaled.slots) wakes += slot.wakes;
-  day.wake_count = static_cast<std::uint64_t>(std::llround(wakes));
-  day.wake_energy_kwh = wakes * config.wake_penalty_wh / 1000.0;
-  return day;
+}  // namespace
+
+const std::vector<std::string>& day_policies() {
+  static const std::vector<std::string> policies = {
+      "pack-to-full", "balanced", "optimal-region",
+      std::string(kAutoscalerPolicy)};
+  return policies;
 }
 
-Result<MatrixCell> run_cell(const Fleet& fleet, const std::string& trace_name,
-                            const DemandTrace& trace,
-                            const std::string& policy_name,
-                            const IdleModel& idle) {
+Result<MatrixCell> run_policy_day(const Fleet& fleet,
+                                  const std::string& trace_name,
+                                  const DemandTrace& trace,
+                                  const std::string& policy,
+                                  const IdleModel& idle) {
   MatrixCell cell;
   cell.trace = trace_name;
-  cell.policy = policy_name;
-  if (policy_name == kAutoscalerPolicy) {
-    if (trace.latency_critical()) {
-      // Powering servers fully off violates the trace's idle-state cap.
-      cell.eligible = false;
-      cell.result.policy = policy_name;
-      return cell;
-    }
-    const AutoscalerConfig config;
-    auto scaled = autoscale_over_day(fleet, trace, config);
-    if (!scaled.ok()) return scaled.error();
-    cell.result = autoscaler_cell(scaled.value(), config);
+  cell.policy = policy;
+  cell.result.policy = policy;
+  if (policy != kAutoscalerPolicy) {
+    auto placement = make_placement_policy(policy);
+    if (!placement.ok()) return placement.error();
+    auto day = simulate_day(*placement.value(), fleet, trace, idle);
+    if (!day.ok()) return day.error();
+    cell.result = std::move(day).take();
     return cell;
   }
-  auto policy = make_placement_policy(policy_name);
-  if (!policy.ok()) return policy.error();
-  auto day = simulate_day(*policy.value(), fleet, trace, idle);
-  if (!day.ok()) return day.error();
-  cell.result = std::move(day).take();
+  if (trace.latency_critical()) {
+    // Powering servers fully off violates the trace's idle-state cap.
+    cell.eligible = false;
+    return cell;
+  }
+  const AutoscalerConfig config;
+  auto scaled = autoscale_over_day(fleet, trace, config);
+  if (!scaled.ok()) return scaled.error();
+  // The wake penalty (already inside energy_kwh) doubles as the wake-energy
+  // line item.
+  cell.result.energy_kwh = scaled.value().energy_kwh;
+  cell.result.served_gops = scaled.value().served_gops;
+  cell.result.avg_efficiency = scaled.value().avg_efficiency;
+  double wakes = 0.0;
+  for (const auto& slot : scaled.value().slots) wakes += slot.wakes;
+  cell.result.wake_count = static_cast<std::uint64_t>(std::llround(wakes));
+  cell.result.wake_energy_kwh = wakes * config.wake_penalty_wh / 1000.0;
   return cell;
 }
 
-}  // namespace
+TraceVerdict pick_winner(std::span<const MatrixCell> row) {
+  TraceVerdict verdict;
+  if (!row.empty()) verdict.trace = row.front().trace;
+  for (const MatrixCell& cell : row) {
+    if (!cell.eligible) continue;
+    if (verdict.policy.empty() ||
+        cell.result.avg_efficiency > verdict.avg_efficiency) {
+      verdict.policy = cell.policy;
+      verdict.avg_efficiency = cell.result.avg_efficiency;
+    }
+  }
+  return verdict;
+}
 
 Result<PolicyTraceMatrix> run_policy_trace_matrix(const Fleet& fleet,
                                                   const MatrixOptions& options) {
@@ -69,8 +84,7 @@ Result<PolicyTraceMatrix> run_policy_trace_matrix(const Fleet& fleet,
   PolicyTraceMatrix matrix;
   matrix.servers = fleet.size();
   matrix.idle_model = options.idle_name;
-  matrix.policies = {"pack-to-full", "balanced", "optimal-region",
-                     std::string(kAutoscalerPolicy)};
+  matrix.policies = day_policies();
   if (options.traces.empty()) {
     for (const auto& info : trace_catalog()) {
       matrix.traces.emplace_back(info.name);
@@ -102,8 +116,8 @@ Result<PolicyTraceMatrix> run_policy_trace_matrix(const Fleet& fleet,
   parallel_for(pool.get(), n, [&](std::size_t i) {
     const std::size_t t = i / cols;
     const std::size_t p = i % cols;
-    auto cell = run_cell(fleet, matrix.traces[t], traces[t],
-                         matrix.policies[p], options.idle);
+    auto cell = run_policy_day(fleet, matrix.traces[t], traces[t],
+                               matrix.policies[p], options.idle);
     if (cell.ok()) {
       matrix.cells[i] = std::move(cell).take();
     } else {
@@ -114,18 +128,8 @@ Result<PolicyTraceMatrix> run_policy_trace_matrix(const Fleet& fleet,
     if (error) return *error;
   }
   for (std::size_t t = 0; t < matrix.traces.size(); ++t) {
-    TraceVerdict verdict;
-    verdict.trace = matrix.traces[t];
-    for (std::size_t p = 0; p < cols; ++p) {
-      const MatrixCell& cell = matrix.cells[t * cols + p];
-      if (!cell.eligible) continue;
-      if (verdict.policy.empty() ||
-          cell.result.avg_efficiency > verdict.avg_efficiency) {
-        verdict.policy = cell.policy;
-        verdict.avg_efficiency = cell.result.avg_efficiency;
-      }
-    }
-    matrix.winners.push_back(std::move(verdict));
+    matrix.winners.push_back(pick_winner(
+        std::span<const MatrixCell>(matrix.cells).subspan(t * cols, cols)));
   }
   return matrix;
 }

@@ -3,6 +3,10 @@
 // ROADMAP item 3 "which policy wins per trace class" run, surfaced as
 // `epserve_cli day --matrix`.
 //
+// day_policies(), run_policy_day() and pick_winner() are shared by
+// `epserve_cli day`, the matrix and exp::run_experiment, so the three
+// cannot disagree about a cell.
+//
 // Cells are independent (shared immutable Fleet, per-cell output slot), so
 // the run parallelizes over the pool via util/parallel with the standard
 // determinism contract: byte-identical at any thread count, including the
@@ -10,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +25,10 @@
 #include "util/result.h"
 
 namespace epserve::cluster {
+
+/// The policy columns, in tie-break order: the three make_placement_policy
+/// names, then "autoscaler" (the ensemble autoscaler).
+const std::vector<std::string>& day_policies();
 
 /// One (trace, policy) evaluation.
 struct MatrixCell {
@@ -38,6 +47,21 @@ struct TraceVerdict {
   std::string policy;
   double avg_efficiency = 0.0;
 };
+
+/// Runs one (trace, policy) cell: make_placement_policy -> simulate_day
+/// under `idle`, or autoscale_over_day (default AutoscalerConfig) for
+/// "autoscaler" — ineligible on a latency-critical trace, since it powers
+/// servers fully off (`result` then holds only the policy name). Fails on
+/// an unknown policy name or a failing day.
+epserve::Result<MatrixCell> run_policy_day(const Fleet& fleet,
+                                           const std::string& trace_name,
+                                           const DemandTrace& trace,
+                                           const std::string& policy,
+                                           const IdleModel& idle);
+
+/// The TraceVerdict rule over one trace's cells in policy order; a row with
+/// no eligible cell yields an empty policy at 0 ops/J.
+TraceVerdict pick_winner(std::span<const MatrixCell> row);
 
 struct PolicyTraceMatrix {
   std::vector<std::string> traces;    // row order

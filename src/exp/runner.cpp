@@ -2,15 +2,14 @@
 
 #include <time.h>  // clock_gettime(CLOCK_THREAD_CPUTIME_ID) — POSIX
 
-#include <cmath>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <utility>
 
-#include "cluster/autoscaler.h"
 #include "cluster/fleet.h"
 #include "cluster/idle_model.h"
-#include "cluster/placement.h"
+#include "cluster/matrix.h"
 #include "cluster/trace.h"
 #include "dataset/generator.h"
 #include "util/json_writer.h"
@@ -20,7 +19,6 @@
 namespace epserve::exp {
 namespace {
 
-constexpr std::string_view kAutoscalerPolicy = "autoscaler";
 constexpr std::string_view kResultSchema = "epserve-exp-result-v1";
 
 std::uint64_t thread_cpu_ns() {
@@ -28,75 +26,6 @@ std::uint64_t thread_cpu_ns() {
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
          static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-/// Streams the scaled population for one fleet coordinate into a fleet that
-/// owns its columns (the bench_population_scale pipeline shape).
-Result<cluster::Fleet> build_fleet(const FleetSummary& coords,
-                                   std::size_t chunk_rows) {
-  dataset::ScaledConfig config;
-  config.seed = coords.seed;
-  config.servers = coords.fleet_size;
-  config.threads = coords.gen_threads;
-  cluster::Fleet::Builder builder;
-  std::optional<Error> append_error;
-  auto emitted = dataset::generate_population_chunked(
-      config, chunk_rows,
-      [&](std::span<const dataset::ServerRecord> chunk, std::uint64_t) {
-        if (append_error) return;
-        if (auto appended = builder.append(chunk); !appended.ok()) {
-          append_error = appended.error();
-        }
-      });
-  if (!emitted.ok()) return emitted.error();
-  if (append_error) return *append_error;
-  return builder.finish();
-}
-
-/// Maps an autoscaler day onto the DayResult cell shape (the
-/// cluster/matrix.cpp rule: the wake penalty, already inside energy_kwh,
-/// doubles as the wake-energy line item).
-cluster::DayResult autoscaler_day(const cluster::AutoscaleResult& scaled,
-                                  const cluster::AutoscalerConfig& config,
-                                  const std::string& policy) {
-  cluster::DayResult day;
-  day.policy = policy;
-  day.energy_kwh = scaled.energy_kwh;
-  day.served_gops = scaled.served_gops;
-  day.avg_efficiency = scaled.avg_efficiency;
-  double wakes = 0.0;
-  for (const auto& slot : scaled.slots) wakes += slot.wakes;
-  day.wake_count = static_cast<std::uint64_t>(std::llround(wakes));
-  day.wake_energy_kwh = wakes * config.wake_penalty_wh / 1000.0;
-  return day;
-}
-
-Result<CellResult> run_cell(const Cell& cell, const cluster::Fleet& fleet,
-                            const cluster::DemandTrace& trace,
-                            const cluster::IdleModel& idle) {
-  CellResult result;
-  result.cell = cell;
-  result.servers = fleet.size();
-  result.fleet_digest = fleet.digest();
-  if (cell.policy == kAutoscalerPolicy) {
-    if (trace.latency_critical()) {
-      // Powering servers fully off violates the trace's idle-state cap.
-      result.eligible = false;
-      result.day.policy = cell.policy;
-      return result;
-    }
-    const cluster::AutoscalerConfig config;
-    auto scaled = cluster::autoscale_over_day(fleet, trace, config);
-    if (!scaled.ok()) return scaled.error();
-    result.day = autoscaler_day(scaled.value(), config, cell.policy);
-    return result;
-  }
-  auto policy = cluster::make_placement_policy(cell.policy);
-  if (!policy.ok()) return policy.error();
-  auto day = cluster::simulate_day(*policy.value(), fleet, trace, idle);
-  if (!day.ok()) return day.error();
-  result.day = std::move(day).take();
-  return result;
 }
 
 void write_cell(JsonWriter& json, const CellResult& result) {
@@ -157,26 +86,24 @@ Result<RunResult> run_experiment(const Spec& spec,
 
   // One fleet per unique (fleet_size, seed, gen_threads) coordinate — the
   // outer three expansion axes — built serially through the streamed
-  // pipeline and shared read-only by every cell addressing it.
+  // pipeline and shared read-only by every cell addressing it. Its digest
+  // is computed here, once, and stamped into every cell below.
+  std::vector<cluster::Fleet> fleets;
   for (const auto fleet_size : spec.fleet_sizes) {
     for (const auto seed : spec.seeds) {
       for (const auto threads : spec.gen_threads) {
-        FleetSummary summary;
-        summary.fleet_size = fleet_size;
-        summary.seed = seed;
-        summary.gen_threads = threads;
-        result.fleets.push_back(summary);
+        const telemetry::Span fleet_span("fleet");
+        dataset::ScaledConfig config;
+        config.seed = seed;
+        config.servers = fleet_size;
+        config.threads = threads;
+        auto fleet = cluster::build_streamed_fleet(config, options.chunk_rows);
+        if (!fleet.ok()) return fleet.error();
+        result.fleets.push_back(
+            {fleet_size, seed, threads, fleet.value().digest()});
+        fleets.push_back(std::move(fleet).take());
       }
     }
-  }
-  std::vector<cluster::Fleet> fleets;
-  fleets.reserve(result.fleets.size());
-  for (auto& summary : result.fleets) {
-    const telemetry::Span fleet_span("fleet");
-    auto fleet = build_fleet(summary, options.chunk_rows);
-    if (!fleet.ok()) return fleet.error();
-    summary.digest = fleet.value().digest();
-    fleets.push_back(std::move(fleet).take());
   }
   telemetry::count("exp.fleets", fleets.size());
 
@@ -189,26 +116,25 @@ Result<RunResult> run_experiment(const Spec& spec,
   // Cells expand with the per-fleet block innermost: idle x trace x policy.
   const std::size_t cells_per_fleet =
       spec.idle_models.size() * spec.traces.size() * spec.policies.size();
-  result.cells.resize(n);
+  std::vector<cluster::MatrixCell> days(n);
   std::vector<std::optional<Error>> errors(n);
   const auto pool = make_worker_pool(resolve_thread_count(options.threads));
   parallel_for(pool.get(), n, [&](std::size_t i) {
     const telemetry::Span cell_span("exp/cell",
                                     telemetry::Span::Scope::kRoot);
     const std::uint64_t cpu_start = thread_cpu_ns();
-    const Cell& cell = cells[i];
-    const std::size_t fleet_index = i / cells_per_fleet;
     const std::size_t in_fleet = i % cells_per_fleet;
     const std::size_t idle_index =
         in_fleet / (spec.traces.size() * spec.policies.size());
     const std::size_t trace_index =
         (in_fleet / spec.policies.size()) % spec.traces.size();
-    auto computed = run_cell(cell, fleets[fleet_index], traces[trace_index],
-                             idles[idle_index]);
-    if (computed.ok()) {
-      result.cells[i] = std::move(computed).take();
+    auto day = cluster::run_policy_day(
+        fleets[i / cells_per_fleet], cells[i].trace, traces[trace_index],
+        cells[i].policy, idles[idle_index]);
+    if (day.ok()) {
+      days[i] = std::move(day).take();
     } else {
-      errors[i] = computed.error();
+      errors[i] = day.error();
     }
     telemetry::timer_add("exp.cell.cpu", thread_cpu_ns() - cpu_start);
   });
@@ -217,27 +143,23 @@ Result<RunResult> run_experiment(const Spec& spec,
   }
 
   // Verdicts: one winner per (fleet, idle, trace) group over the policy
-  // axis — highest ops/J among eligible cells, ties toward the earlier
-  // policy.
-  const std::size_t groups = n / spec.policies.size();
-  for (std::size_t g = 0; g < groups; ++g) {
-    SweepVerdict verdict;
-    const CellResult& first = result.cells[g * spec.policies.size()];
-    verdict.fleet_size = first.cell.fleet_size;
-    verdict.seed = first.cell.seed;
-    verdict.gen_threads = first.cell.gen_threads;
-    verdict.idle = first.cell.idle;
-    verdict.trace = first.cell.trace;
-    for (std::size_t p = 0; p < spec.policies.size(); ++p) {
-      const CellResult& cell = result.cells[g * spec.policies.size() + p];
-      if (!cell.eligible) continue;
-      if (verdict.policy.empty() ||
-          cell.day.avg_efficiency > verdict.avg_efficiency) {
-        verdict.policy = cell.cell.policy;
-        verdict.avg_efficiency = cell.day.avg_efficiency;
-      }
-    }
-    result.winners.push_back(std::move(verdict));
+  // axis, by the matrix's rule (cluster::pick_winner).
+  const std::size_t policies = spec.policies.size();
+  for (std::size_t g = 0; g < n / policies; ++g) {
+    const Cell& first = cells[g * policies];
+    const cluster::TraceVerdict winner = cluster::pick_winner(
+        std::span<const cluster::MatrixCell>(days).subspan(g * policies,
+                                                           policies));
+    result.winners.push_back({first.fleet_size, first.seed, first.gen_threads,
+                              first.idle, first.trace, winner.policy,
+                              winner.avg_efficiency});
+  }
+  result.cells.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t f = i / cells_per_fleet;
+    result.cells.push_back({cells[i], days[i].eligible, fleets[f].size(),
+                            result.fleets[f].digest,
+                            std::move(days[i].result)});
   }
   return result;
 }

@@ -5,10 +5,13 @@
 // thread count (the same contract run_policy_trace_matrix honours).
 //
 // Fleets are built once per unique (fleet_size, seed, gen_threads)
-// coordinate through the streamed Fleet::Builder path (bounded memory at
-// any size) and shared read-only across every cell that addresses them;
-// each fleet's Fleet::digest() is stamped into the result so a rendered
-// report can always be traced back to the exact population it measured.
+// coordinate through cluster::build_streamed_fleet (bounded memory at any
+// size) and shared read-only across every cell that addresses them; each
+// fleet's Fleet::digest(), computed once per fleet, is stamped into the
+// result and into every cell measured against it, so a rendered report can
+// always be traced back to the exact population it measured. Each cell runs
+// through cluster::run_policy_day and each group's winner is
+// cluster::pick_winner — the same code behind the policy x trace matrix.
 //
 // Telemetry (asserted exact by tests/exp_runner_test.cpp): one `exp/run`
 // root span per run, one `exp/cell` root span per cell, `exp.cells` /
@@ -39,9 +42,9 @@ struct FleetSummary {
 };
 
 /// One executed cell: its coordinates, the fleet digest it measured
-/// against, and the day-simulation accounting. `eligible` is false for
-/// combinations the cluster layer forbids (the autoscaler on a
-/// latency-critical trace); `day` is zeroed there.
+/// against, and the day-simulation accounting from cluster::run_policy_day.
+/// `eligible` is false for combinations the cluster layer forbids (the
+/// autoscaler on a latency-critical trace); `day` is zeroed there.
 struct CellResult {
   Cell cell;
   bool eligible = true;
@@ -52,7 +55,7 @@ struct CellResult {
 
 /// The winning policy of one (fleet, seed, gen_threads, idle, trace) group:
 /// highest ops/J among eligible cells, ties toward the earlier policy in
-/// the spec's policy axis (the matrix-layer verdict rule).
+/// the spec's policy axis (cluster::pick_winner, the matrix's rule).
 struct SweepVerdict {
   std::uint64_t fleet_size = 0;
   std::uint64_t seed = 0;

@@ -1,9 +1,10 @@
 #include "exp/spec.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "cluster/idle_model.h"
-#include "cluster/placement.h"
+#include "cluster/matrix.h"
 #include "cluster/trace.h"
 #include "util/json_parser.h"
 #include "util/json_writer.h"
@@ -13,11 +14,10 @@ namespace epserve::exp {
 namespace {
 
 constexpr std::string_view kSpecSchema = "epserve-exp-spec-v1";
-constexpr std::string_view kAutoscalerPolicy = "autoscaler";
 
 bool known_policy(const std::string& name) {
-  if (name == kAutoscalerPolicy) return true;
-  return cluster::make_placement_policy(name).ok();
+  const auto& policies = cluster::day_policies();
+  return std::find(policies.begin(), policies.end(), name) != policies.end();
 }
 
 bool known_trace(const std::string& name) {
